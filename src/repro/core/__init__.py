@@ -49,7 +49,6 @@ from repro.core.nash import (
     compute_nash_equilibrium,
     initial_profile,
 )
-from repro.core.jit import jit_available, jit_requested, resolve_backend
 from repro.core.reference import reference_solve
 from repro.core.sampled import (
     SampleCertificate,
@@ -82,9 +81,6 @@ __all__ = [
     "ClassNashSolver",
     "aggregate_users",
     "class_best_response_regrets",
-    "jit_available",
-    "jit_requested",
-    "resolve_backend",
     "ShardedNashResult",
     "partition_classes",
     "solve_sharded",

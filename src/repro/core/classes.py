@@ -16,9 +16,12 @@ end to end:
   members' rates; its representative per-member rate is the weighted
   mean);
 * :class:`ClassNashSolver` runs the best-reply iteration entirely in
-  class space with ``(c, n)`` state, reusing the batched water-fill
-  kernels, so cost per sweep is ``O(c n log n)`` instead of
-  ``O(m n log n)`` and memory ``O(c n)`` instead of ``O(m n)``;
+  class space with ``(c, n)`` state, so cost per sweep is
+  ``O(c n log n)`` instead of ``O(m n log n)`` and memory ``O(c n)``
+  instead of ``O(m n)``.  Its sweep engine
+  (:meth:`ClassNashSolver.run_sweeps`) is the repository's one
+  implementation of the NASH loop: :class:`~repro.core.nash.NashSolver`
+  is a front end that runs it on singleton classes in user order;
 * :func:`class_best_response_regrets` evaluates the *per-user*
   epsilon-Nash certificate in class space: every member of a class has
   the same regret, so ``c`` batched best responses certify all ``m``
@@ -29,9 +32,11 @@ Exactness.  A class-uniform profile expanded by
 :meth:`ClassAggregation.expand` puts identical rows on all members of a
 class, so the expanded aggregate loads equal the class-space loads and
 the class-space certificate *is* the user-space certificate (exactly for
-exact grouping, up to the grouping tolerance otherwise).  With every
-class a singleton the solver's arithmetic reduces bit-for-bit to
-:class:`~repro.core.nash.NashSolver`'s — the parity tests pin this.
+exact grouping, up to the grouping tolerance otherwise).  A singleton
+class replies with the paper's Theorem 2.1 water-fill; a multi-member
+class lands on its symmetric intra-class equilibrium.  With every class
+a singleton the solve is the per-user solve, bit for bit (the parity
+tests pin this against ``aggregate_users`` of sorted-rate systems).
 
 The sweep *norm* is user-weighted (``sum_k count_k |D_k^{(l)} -
 D_k^{(l-1)}|``) so ``tolerance`` means the same thing it means for the
@@ -46,19 +51,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Literal
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
 from repro._typing import FloatArray
 from repro.core.best_response import optimal_fractions, optimal_fractions_batch
-from repro.core.jit import class_sweep_inplace, resolve_backend, sweep_kernel
 from repro.core.model import DistributedSystem
-from repro.core.nash import DEFAULT_MAX_SWEEPS, DEFAULT_TOLERANCE, UpdateOrder
 from repro.core.sampled import (
     SampleCertificate,
     reply_set,
     sample_indices,
+    sampled_best_reply,
+    sampled_best_reply_batch,
     widen_reply_set,
 )
 from repro.core.strategy import StrategyProfile
@@ -67,6 +72,9 @@ from repro.queueing.mm1 import expected_response_time
 from repro.telemetry.trace import Tracer, current_tracer
 
 __all__ = [
+    "DEFAULT_MAX_SWEEPS",
+    "DEFAULT_TOLERANCE",
+    "UpdateOrder",
     "ClassAggregation",
     "ClassEquilibriumCertificate",
     "ClassNashResult",
@@ -77,7 +85,13 @@ __all__ = [
 
 IntArray = np.ndarray
 
+#: Default acceptance tolerance ``eps`` on the per-sweep norm.
+DEFAULT_TOLERANCE = 1e-6
+#: Default cap on best-reply sweeps before declaring non-convergence.
+DEFAULT_MAX_SWEEPS = 500
+
 ClassInitialization = Literal["zero", "proportional", "uniform"]
+UpdateOrder = Literal["roundrobin", "random", "simultaneous"]
 
 
 @dataclass(frozen=True)
@@ -124,13 +138,13 @@ class ClassAggregation:
         rates = np.asarray(self.class_rates, dtype=float)
         counts = np.asarray(self.counts, dtype=np.intp)
         demands = np.asarray(self.demands, dtype=float)
-        if mu.ndim != 1 or mu.size == 0 or np.any(mu <= 0.0):
+        if mu.ndim != 1 or mu.size == 0 or (mu <= 0.0).any():
             raise ValueError("service_rates must be a positive 1-D vector")
-        if rates.ndim != 1 or rates.size == 0 or np.any(rates <= 0.0):
+        if rates.ndim != 1 or rates.size == 0 or (rates <= 0.0).any():
             raise ValueError("class_rates must be a positive 1-D vector")
-        if counts.shape != rates.shape or np.any(counts < 1):
+        if counts.shape != rates.shape or (counts < 1).any():
             raise ValueError("counts must be positive, one per class")
-        if demands.shape != rates.shape or np.any(demands <= 0.0):
+        if demands.shape != rates.shape or (demands <= 0.0).any():
             raise ValueError("demands must be positive, one per class")
         if float(demands.sum()) >= float(mu.sum()):
             raise ValueError(
@@ -501,7 +515,6 @@ def _symmetric_class_fill(
 
 def _fused_class_reply_inplace(
     mu: FloatArray,
-    rate: float,
     count: float,
     demand: float,
     own: FloatArray,
@@ -512,58 +525,70 @@ def _fused_class_reply_inplace(
     """One class's equilibrium reply with in-place aggregate bookkeeping.
 
     ``own`` is the class's *total* flow row inside the ``(c, n)`` flow
-    matrix and ``lam`` the running aggregate, so ``mu - lam + own`` are
-    the class's foreign-free rates.  ``demand`` is the class's true
-    member-rate sum (``ClassAggregation.demands[k]``, *not* re-derived as
-    ``rate * count`` — see :func:`aggregate_users`).  A singleton class
-    (where ``demand == rate`` bitwise) takes the plain water-fill path
-    whose arithmetic mirrors
-    :func:`repro.core.nash._fused_best_reply_inplace` statement for
-    statement — bit-identical results, which the exact-grouping parity
-    tests pin.  A multi-member class lands on its symmetric intra-class
-    equilibrium via :func:`_symmetric_class_fill`.  Returns the member's
-    new expected response time.
+    matrix and ``lam`` the running aggregate ``sum_k flows_k``; both are
+    updated in place (``lam += new_own - old_own``, the rank-1 delta that
+    makes a sweep ``O(c n log n)``), so ``mu - lam + own`` are the
+    class's foreign-free rates.  ``avail``/``thr`` are preallocated
+    ``(n,)`` scratch buffers.  ``demand`` is the class's true member-rate
+    sum (``ClassAggregation.demands[k]``, *not* re-derived as
+    ``rate * count`` — see :func:`aggregate_users`).  Returns the
+    member's new expected response time.
+
+    A singleton class (every user of a :class:`~repro.core.nash.NashSolver`
+    solve) takes the Theorem 2.1 water-fill — the arithmetic of
+    :func:`repro.core.waterfill.sqrt_waterfill` with the per-call
+    overhead (validation, dataclasses, defensive branches) stripped.
+    Whenever some computer has no headroom left — possible only from an
+    infeasible initialization such as a uniform split on a strongly
+    heterogeneous system — it falls back to the defensive scalar solver,
+    which handles unavailable computers.  A multi-member class lands on
+    its symmetric intra-class equilibrium via
+    :func:`_symmetric_class_fill`.
     """
     np.subtract(mu, lam, out=avail)
     avail += own
-    if count <= 1.0:
-        if np.any(avail <= 0.0):
-            # Defensive path: unavailable computers present.
-            reply = optimal_fractions(avail, demand)
-            lam -= own
-            np.multiply(reply.fractions, demand, out=own)
-            lam += own
-            return float(reply.expected_response_time)
-
-        order = np.argsort(-avail, kind="stable")
-        a_sorted = avail[order]
-        roots = np.sqrt(a_sorted)
-        cum_a = np.cumsum(a_sorted)
-        cum_r = np.cumsum(roots)
-        if demand >= cum_a[-1]:
-            raise InfeasibleDemand(demand, float(cum_a[-1]))
-
-        np.subtract(cum_a, demand, out=thr)
-        thr /= cum_r
-        valid = roots > thr
-        cut = a_sorted.size - int(valid[::-1].argmax())
-
-        t = thr[cut - 1]
-        x = a_sorted[:cut] - t * roots[:cut]
-        np.maximum(x, 0.0, out=x)
-        x *= demand / x.sum()
-        gap = a_sorted[:cut] - x
-        d = float((x / gap).sum()) / demand  # reprolint: allow=R003 hot path; gap > 0 by the water-fill support
-
+    if count > 1.0:
+        y, d = _symmetric_class_fill(avail, demand, count)
         lam -= own
-        own[:] = 0.0
-        own[order[:cut]] = x
+        own[:] = y
         lam += own
         return d
 
-    y, d = _symmetric_class_fill(avail, demand, count)
+    if np.any(avail <= 0.0):
+        # Defensive path: unavailable computers present.
+        reply = optimal_fractions(avail, demand)
+        lam -= own
+        np.multiply(reply.fractions, demand, out=own)
+        lam += own
+        return float(reply.expected_response_time)
+
+    order = np.argsort(-avail, kind="stable")
+    a_sorted = avail[order]
+    roots = np.sqrt(a_sorted)
+    cum_a = np.cumsum(a_sorted)
+    cum_r = np.cumsum(roots)
+    if demand >= cum_a[-1]:
+        raise InfeasibleDemand(demand, float(cum_a[-1]))
+
+    # Threshold for every candidate support prefix, largest valid prefix.
+    np.subtract(cum_a, demand, out=thr)
+    thr /= cum_r
+    valid = roots > thr
+    cut = a_sorted.size - int(valid[::-1].argmax())
+
+    t = thr[cut - 1]
+    x = a_sorted[:cut] - t * roots[:cut]
+    np.maximum(x, 0.0, out=x)
+    x *= demand / x.sum()
+    # D = sum_i s_i / (a_i - x_i) = (1/phi) sum_i x_i / (a_i - x_i);
+    # stability a_i - x_i > 0 holds by construction of the support
+    # (x_i < a_i on it), so the inline form is safe here.
+    gap = a_sorted[:cut] - x
+    d = float((x / gap).sum()) / demand  # reprolint: allow=R003 hot path; gap > 0 by the water-fill support
+
     lam -= own
-    own[:] = y
+    own[:] = 0.0
+    own[order[:cut]] = x
     lam += own
     return d
 
@@ -581,31 +606,88 @@ def _sampled_class_reply(
 ) -> tuple[FloatArray, float, int]:
     """One class's reply restricted to ``support ∪ k-sample``.
 
-    The class-space twin of :func:`repro.core.sampled.sampled_best_reply`:
-    the class observes its own support for free, spends ``k`` probes on a
-    seeded sample, and lands on its (singleton water-fill or symmetric
-    intra-class) equilibrium over the union — widening deterministically
+    A singleton class *is* one player, so it goes through
+    :func:`repro.core.sampled.sampled_best_reply` unchanged.  A
+    multi-member class observes its own support for free, spends ``k``
+    probes on the same seeded sample, and lands on its symmetric
+    intra-class equilibrium over the union — widening deterministically
     when the sampled capacity cannot carry the demand (cold starts).
     Returns the new full-length class-total flow row, the member expected
     response time and the polls spent.
     """
+    if count <= 1.0:
+        reply = sampled_best_reply(
+            avail, own, demand, seed=seed, sweep=sweep, index=index, k=k
+        )
+        return reply.flows, reply.expected_response_time, reply.polls
     n = avail.shape[0]
     indices = sample_indices(seed, sweep, index, n, k)
     chosen = reply_set(own, indices)
-    polls = int(indices.size)
     chosen, extra = widen_reply_set(
         chosen, avail, demand, seed=seed, sweep=sweep, index=index
     )
-    polls += extra
     flows = np.zeros(n)
-    if count <= 1.0:
-        reply = optimal_fractions(avail[chosen], demand)
-        flows[chosen] = reply.fractions * demand
-        d = float(reply.expected_response_time)
-    else:
-        y, d = _symmetric_class_fill(avail[chosen], demand, count)
-        flows[chosen] = y
-    return flows, d, polls
+    y, d = _symmetric_class_fill(avail[chosen], demand, count)
+    flows[chosen] = y
+    return flows, d, int(indices.size) + extra
+
+
+#: Per-sweep telemetry hook of the sweep engine, called (only when
+#: tracing) as ``hook(index, norm, elapsed_s, deltas)`` where ``deltas``
+#: holds each class's ``|D_k^{(l)} - D_k^{(l-1)}|`` — the per-user
+#: regrets of a singleton solve.
+SweepHook = Callable[[int, float, float, FloatArray], None]
+
+
+@dataclass(frozen=True)
+class SweepRun:
+    """Raw outcome of the sweep engine, before a front end wraps it.
+
+    ``flows`` are the final ``(c, n)`` class-total flows, ``norms`` the
+    user-weighted sweep norms, ``history`` the class fractions after
+    each sweep (when recorded) and ``polls`` the availability probes of
+    a ``sample_k`` solve (the full-information baseline when
+    ``k >= n``).
+    """
+
+    flows: FloatArray
+    norms: list[float]
+    converged: bool
+    history: list[FloatArray]
+    polls: int
+
+    @property
+    def final_norm(self) -> float:
+        return self.norms[-1] if self.norms else 0.0
+
+
+def certify_sample(
+    run: SweepRun, k: int, n: int, epsilon: float, tracer: Tracer
+) -> SampleCertificate:
+    """The :class:`SampleCertificate` of a ``sample_k`` solve.
+
+    ``epsilon`` is the caller's true global certificate of the final
+    profile; emits the ``solver.sample`` event when tracing.
+    """
+    sample = SampleCertificate(
+        k=min(k, n),
+        n_computers=n,
+        sweeps=len(run.norms),
+        polls=run.polls,
+        sampled_norm=run.final_norm,
+        epsilon=epsilon,
+    )
+    if tracer.enabled:
+        tracer.emit(
+            "solver.sample",
+            k=sample.k,
+            computers=n,
+            sweeps=sample.sweeps,
+            polls=sample.polls,
+            sampled_norm=sample.sampled_norm,
+            epsilon=sample.epsilon,
+        )
+    return sample
 
 
 @dataclass(frozen=True)
@@ -624,7 +706,6 @@ class ClassNashResult:
     norm_history: FloatArray
     class_times: FloatArray
     aggregation: ClassAggregation
-    backend: str = "numpy"
     history: tuple[FloatArray, ...] = field(default=())
     sample: SampleCertificate | None = None
 
@@ -643,17 +724,12 @@ class ClassNashSolver:
 
     The configuration mirrors :class:`~repro.core.nash.NashSolver`
     (tolerance on the user-weighted sweep norm, sweep budget, update
-    order, seed for the ``"random"`` order).  ``use_jit`` selects the
-    optional numba-compiled sweep kernel for the Gauss-Seidel orders:
-    ``None`` defers to the ``REPRO_JIT`` environment flag, ``True``
-    requests it (falling back to the bit-compatible NumPy path when
-    numba is not installed), ``False`` pins the NumPy path.  The backend
-    that actually ran is recorded on the result.
+    order, seed for the ``"random"`` order), whose solves run on this
+    class's sweep engine with every user a singleton class.
 
     ``sample_k`` switches to power-of-k sampled class replies
     (:mod:`repro.core.sampled`): each class best-responds over its
-    current support plus ``k`` seeded probes per sweep, taking the
-    NumPy path (the JIT kernel is full-information).  ``k >= n`` runs
+    current support plus ``k`` seeded probes per sweep.  ``k >= n`` runs
     the exact code path unchanged — bit-for-bit identical profiles —
     and only attaches the full-information
     :class:`~repro.core.sampled.SampleCertificate`.
@@ -663,7 +739,6 @@ class ClassNashSolver:
     max_sweeps: int = DEFAULT_MAX_SWEEPS
     order: UpdateOrder = "roundrobin"
     seed: int = 0
-    use_jit: bool | None = None
     record_history: bool = False
     sample_k: int | None = None
 
@@ -716,29 +791,10 @@ class ClassNashSolver:
         ``norm_history`` exactly, like the per-user solver's.
         """
         fractions = self._initial_fractions(aggregation, init)
-        mu = aggregation.service_rates
-        rates = aggregation.class_rates
-        demands = aggregation.demands
-        counts_f = aggregation.counts.astype(float)
-        singleton = bool(np.all(aggregation.counts == 1))
         c, n = aggregation.n_classes, aggregation.n_computers
-        rng = np.random.default_rng(self.seed) if self.order == "random" else None
-        # Power-of-k mode: k < n restricts every class reply to
-        # support ∪ sample on the NumPy path (the JIT kernel is
-        # full-information); k >= n runs the exact path unchanged.
-        sampling = self.sample_k is not None and self.sample_k < n
-        sample_k = 0 if self.sample_k is None else self.sample_k
-        total_polls = 0
-        backend = resolve_backend(self.use_jit)
-        kernel = (
-            sweep_kernel(backend)
-            if self.order != "simultaneous" and not sampling
-            else None
-        )
-        if kernel is None:
-            backend = "numpy"
         tracer = tracer if tracer is not None else current_tracer()
         trace = tracer.enabled
+        on_sweep: SweepHook | None = None
         if trace:
             tracer.emit(
                 "solver.class_start",
@@ -750,126 +806,15 @@ class ClassNashSolver:
                 grouping_tol=aggregation.grouping_tol,
                 tolerance=self.tolerance,
                 max_sweeps=self.max_sweeps,
-                backend=backend,
             )
 
-        # D_k^{(0)}: zero without a conserving allocation (NASH_0), the
-        # actual member times otherwise — mirroring the per-user solver.
-        last_times = np.zeros(c)
-        if np.allclose(fractions.sum(axis=1), 1.0):
-            try:
-                last_times = aggregation.class_times(fractions)
-            except ValueError:
-                pass
-
-        # Hot loop state: (c, n) class *total* flows and the running
-        # aggregate, refreshed once per sweep against round-off drift.
-        flows = fractions * demands[:, None]
-        avail = np.empty(n)
-        thr = np.empty(n)
-
-        norms: list[float] = []
-        history: list[FloatArray] = []
-        converged = False
-        for _sweep in range(self.max_sweeps):
-            lam = flows.sum(axis=0)
-            sweep_started = perf_counter() if trace else 0.0
-            if self.order == "simultaneous":
-                if sampling:
-                    # Jacobi over reply sets: each class responds to the
-                    # frozen aggregate over support ∪ sample.
-                    foreign_free = (mu - lam)[None, :] + flows
-                    times = np.empty(c)
-                    for k in range(c):
-                        flows[k], times[k], p = _sampled_class_reply(
-                            foreign_free[k],
-                            flows[k],
-                            float(demands[k]),
-                            float(counts_f[k]),
-                            seed=self.seed,
-                            sweep=_sweep,
-                            index=k,
-                            k=sample_k,
-                        )
-                        total_polls += p
-                elif singleton:
-                    # All-singleton aggregation: the member availables
-                    # are the per-user ones, so this is bit-identical to
-                    # NashSolver's Jacobi sweep.
-                    available = (mu - lam)[None, :] + flows
-                    replies = optimal_fractions_batch(available, rates)
-                    np.multiply(replies.fractions, demands[:, None], out=flows)
-                    times = replies.expected_response_times
-                else:
-                    # Jacobi across classes, each landing on its internal
-                    # symmetric equilibrium against the frozen aggregate.
-                    foreign_free = (mu - lam)[None, :] + flows
-                    times = np.empty(c)
-                    for k in range(c):
-                        flows[k], times[k] = _symmetric_class_fill(
-                            foreign_free[k],
-                            float(demands[k]),
-                            float(counts_f[k]),
-                        )
-                norm = float((counts_f * np.abs(times - last_times)).sum())
-                last_times = times
-            else:
-                schedule = (
-                    rng.permutation(c) if rng is not None else np.arange(c)
-                )
-                if sampling:
-                    norm = 0.0
-                    for k in schedule:
-                        np.subtract(mu, lam, out=avail)
-                        avail += flows[k]
-                        y, d_k, p = _sampled_class_reply(
-                            avail,
-                            flows[k],
-                            float(demands[k]),
-                            float(counts_f[k]),
-                            seed=self.seed,
-                            sweep=_sweep,
-                            index=int(k),
-                            k=sample_k,
-                        )
-                        total_polls += p
-                        lam += y - flows[k]
-                        flows[k] = y
-                        norm += counts_f[k] * abs(d_k - last_times[k])
-                        last_times[k] = d_k
-                elif kernel is not None and backend != "numpy":
-                    norm = float(
-                        kernel(
-                            mu, rates, counts_f, demands, flows, lam,
-                            last_times, np.asarray(schedule, dtype=np.intp),
-                        )
-                    )
-                    if norm < 0.0:
-                        raise InfeasibleDemand(
-                            aggregation.total_demand, float(mu.sum())
-                        )
-                else:
-                    norm = 0.0
-                    for k in schedule:
-                        d_k = _fused_class_reply_inplace(
-                            mu,
-                            float(rates[k]),
-                            float(counts_f[k]),
-                            float(demands[k]),
-                            flows[k],
-                            lam,
-                            avail,
-                            thr,
-                        )
-                        norm += counts_f[k] * abs(d_k - last_times[k])
-                        last_times[k] = d_k
-            norms.append(norm)
-            if trace:
-                elapsed = perf_counter() - sweep_started
+            def emit_sweep(
+                index: int, norm: float, elapsed: float, deltas: FloatArray
+            ) -> None:
                 tracer.emit(
                     "solver.class_sweep",
-                    index=len(norms) - 1,
-                    sweep=len(norms),
+                    index=index,
+                    sweep=index + 1,
                     norm=norm,
                     elapsed_s=elapsed,
                     classes=c,
@@ -877,13 +822,12 @@ class ClassNashSolver:
                 tracer.count("solver.class_sweeps")
                 tracer.count("solver.class_replies", c)
                 tracer.observe("solver.class_sweep_seconds", elapsed)
-            if self.record_history:
-                history.append(flows / demands[:, None])
-            if norm <= self.tolerance:
-                converged = True
-                break
 
-        final = flows / demands[:, None]
+            on_sweep = emit_sweep
+
+        run = self.run_sweeps(aggregation, fractions, on_sweep)
+        converged = run.converged
+        final = run.flows / aggregation.demands[:, None]
         try:
             class_times = aggregation.class_times(final)
         except ValueError:
@@ -893,55 +837,183 @@ class ClassNashSolver:
             converged = False
         sample: SampleCertificate | None = None
         if self.sample_k is not None:
-            if not sampling:
-                # Full-information bypass: every class reply observed all
-                # n computers — the poll baseline EXT11 measures against.
-                total_polls = len(norms) * c * n
             try:
                 epsilon = float(
                     class_best_response_regrets(aggregation, final).epsilon
                 )
             except ValueError:
                 epsilon = float("inf")
-            sample = SampleCertificate(
-                k=min(self.sample_k, n),
-                n_computers=n,
-                sweeps=len(norms),
-                polls=total_polls,
-                sampled_norm=norms[-1] if norms else 0.0,
-                epsilon=epsilon,
-            )
-            if trace:
-                tracer.emit(
-                    "solver.sample",
-                    k=sample.k,
-                    computers=n,
-                    sweeps=sample.sweeps,
-                    polls=sample.polls,
-                    sampled_norm=sample.sampled_norm,
-                    epsilon=sample.epsilon,
-                )
+            sample = certify_sample(run, self.sample_k, n, epsilon, tracer)
         if trace:
             tracer.emit(
                 "solver.class_done",
                 converged=converged,
-                iterations=len(norms),
-                final_norm=norms[-1] if norms else 0.0,
-                backend=backend,
+                iterations=len(run.norms),
+                final_norm=run.final_norm,
             )
         return ClassNashResult(
             class_fractions=final,
             converged=converged,
-            iterations=len(norms),
-            norm_history=np.asarray(norms, dtype=float),
+            iterations=len(run.norms),
+            norm_history=np.asarray(run.norms, dtype=float),
             class_times=class_times,
             aggregation=aggregation,
-            backend=backend,
-            history=tuple(history),
+            history=tuple(run.history),
             sample=sample,
         )
 
+    def run_sweeps(
+        self,
+        aggregation: ClassAggregation,
+        fractions: FloatArray,
+        on_sweep: SweepHook | None = None,
+    ) -> SweepRun:
+        """The sweep engine: best-reply sweeps from a ``(c, n)`` profile.
 
-# Re-exported for callers that want the sweep kernel directly (tests,
-# benchmarks); the solver itself dispatches through resolve_backend.
-_ = class_sweep_inplace
+        The one implementation of the paper's NASH loop, shared by
+        :meth:`solve` and :meth:`repro.core.nash.NashSolver.solve`.  Each
+        sweep refreshes the aggregate ``lam`` (against incremental
+        round-off drift), then either lets every class reply in turn to
+        the freshest profile (Gauss-Seidel: ``"roundrobin"`` or
+        ``"random"``) or all classes reply to the previous sweep's
+        profile at once (Jacobi: ``"simultaneous"``, one batched kernel
+        call for an all-singleton aggregation).  ``fractions`` is read,
+        never written.
+        """
+        mu = aggregation.service_rates
+        demands = aggregation.demands
+        counts_f = aggregation.counts.astype(float)
+        # Python scalars keep the per-reply loop free of NumPy scalar
+        # arithmetic; the values (hence the iterates) are unchanged.
+        counts = counts_f.tolist()
+        demand_list = demands.tolist()
+        singleton = bool((aggregation.counts == 1).all())
+        c, n = aggregation.n_classes, aggregation.n_computers
+        rng = np.random.default_rng(self.seed) if self.order == "random" else None
+        # Power-of-k mode: k < n restricts every reply to support ∪
+        # sample; k >= n runs the exact path unchanged (bit-for-bit
+        # parity) and only the certificate accounting differs.
+        sample_k = 0 if self.sample_k is None else self.sample_k
+        sampling = 0 < sample_k < n
+        seed = self.seed
+        polls = 0
+
+        # D_k^{(0)}: zero for classes with no allocation yet (NASH_0), the
+        # actual member times otherwise.  An initial profile that
+        # conserves flow but overloads some computer (e.g. a uniform split
+        # on a heterogeneous system) has no finite expected times; treat
+        # it like NASH_0 for norm purposes — the first sweep repairs it.
+        last_times = np.zeros(c)
+        if np.allclose(fractions.sum(axis=1), 1.0):
+            try:
+                last_times = aggregation.class_times(fractions)
+            except ValueError:
+                pass
+
+        # Hot loop state: (c, n) class *total* flows and the running
+        # aggregate, updated with a rank-1 delta per reply.
+        flows = fractions * demands[:, None]
+        avail = np.empty(n)
+        thr = np.empty(n)
+
+        norms: list[float] = []
+        history: list[FloatArray] = []
+        converged = False
+        for sweep in range(self.max_sweeps):
+            lam = flows.sum(axis=0)
+            started = perf_counter() if on_sweep is not None else 0.0
+            if self.order == "simultaneous":
+                available = (mu - lam)[None, :] + flows
+                if singleton and sampling:
+                    batch = sampled_best_reply_batch(
+                        available,
+                        flows,
+                        aggregation.class_rates,
+                        seed=seed,
+                        sweep=sweep,
+                        k=sample_k,
+                    )
+                    flows[:] = batch.flows
+                    times = batch.expected_response_times
+                    polls += batch.polls
+                elif singleton:
+                    replies = optimal_fractions_batch(
+                        available, aggregation.class_rates
+                    )
+                    np.multiply(replies.fractions, demands[:, None], out=flows)
+                    times = replies.expected_response_times
+                else:
+                    # Each class lands on its internal symmetric
+                    # equilibrium against the frozen aggregate.
+                    times = np.empty(c)
+                    for k in range(c):
+                        if sampling:
+                            flows[k], times[k], p = _sampled_class_reply(
+                                available[k],
+                                flows[k],
+                                demand_list[k],
+                                counts[k],
+                                seed=seed,
+                                sweep=sweep,
+                                index=k,
+                                k=sample_k,
+                            )
+                            polls += p
+                        else:
+                            flows[k], times[k] = _symmetric_class_fill(
+                                available[k], demand_list[k], counts[k]
+                            )
+                deltas = np.abs(times - last_times)
+                norm = float((counts_f * deltas).sum())
+                last_times = times
+            else:
+                schedule: Iterable[int] = (
+                    rng.permutation(c).tolist() if rng is not None else range(c)
+                )
+                deltas = np.zeros(c)
+                norm = 0.0
+                for k in schedule:
+                    if sampling:
+                        np.subtract(mu, lam, out=avail)
+                        avail += flows[k]
+                        y, d, p = _sampled_class_reply(
+                            avail,
+                            flows[k],
+                            demand_list[k],
+                            counts[k],
+                            seed=seed,
+                            sweep=sweep,
+                            index=k,
+                            k=sample_k,
+                        )
+                        polls += p
+                        lam += y - flows[k]
+                        flows[k] = y
+                    else:
+                        d = _fused_class_reply_inplace(
+                            mu, counts[k], demand_list[k], flows[k], lam, avail, thr
+                        )
+                    delta = abs(d - last_times[k])
+                    norm += counts[k] * delta
+                    deltas[k] = delta
+                    last_times[k] = d
+            norms.append(norm)
+            if on_sweep is not None:
+                on_sweep(len(norms) - 1, norm, perf_counter() - started, deltas)
+            if self.record_history:
+                history.append(flows / demands[:, None])
+            if norm <= self.tolerance:
+                converged = True
+                break
+
+        if self.sample_k is not None and not sampling:
+            # Full-information bypass: every reply observed all n
+            # computers — the poll baseline EXT11 measures against.
+            polls = len(norms) * c * n
+        return SweepRun(
+            flows=flows,
+            norms=norms,
+            converged=converged,
+            history=history,
+            polls=polls,
+        )

@@ -18,34 +18,44 @@ This module is the *sequential* driver; :mod:`repro.distributed` executes
 the same algorithm as a message-passing ring protocol and must produce
 identical iterates.
 
-Performance (see docs/PERFORMANCE.md): the sweep maintains the aggregate
-flow vector ``lam = phi @ fractions`` incrementally with a rank-1 delta
-per best reply instead of recomputing it per user, dropping a sweep from
-``O(m^2 n)`` to ``O(m n log n)``; each Gauss-Seidel best reply runs
-through a fused low-overhead kernel, and the ``"simultaneous"`` (Jacobi)
-order best-responds *all* users in one :func:`optimal_fractions_batch`
-call.  The original driver is preserved verbatim in
+One sweep engine: :class:`NashSolver` is the front end of
+:class:`~repro.core.classes.ClassNashSolver` for singleton classes.  It
+makes every user its own class, in user order, runs the class solver's
+sweep engine (:meth:`~repro.core.classes.ClassNashSolver.run_sweeps` —
+incremental aggregate loads, one fused water-fill per Gauss-Seidel
+reply, one batched call per Jacobi sweep; see docs/PERFORMANCE.md) and
+wraps the outcome in a per-user :class:`NashResult` with per-user
+telemetry.  The original driver is preserved verbatim in
 :mod:`repro.core.reference`; parity tests pin the two against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Literal
 
 import numpy as np
 
-from repro.core.best_response import optimal_fractions, optimal_fractions_batch
+from repro._typing import FloatArray
+from repro.core.classes import (
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_TOLERANCE,
+    ClassAggregation,
+    ClassNashSolver,
+    SweepHook,
+    UpdateOrder,
+    certify_sample,
+)
 from repro.core.equilibrium import best_response_regrets
 from repro.core.model import DistributedSystem
+# The per-user sampled replies stay importable from here: a sampled
+# NashSolver solve runs them through the sweep engine.
 from repro.core.sampled import (
     SampleCertificate,
     sampled_best_reply,
     sampled_best_reply_batch,
 )
 from repro.core.strategy import StrategyProfile
-from repro.core.waterfill import InfeasibleDemand
 from repro.telemetry.trace import Tracer, current_tracer
 
 __all__ = [
@@ -59,13 +69,7 @@ __all__ = [
     "initial_profile",
 ]
 
-#: Default acceptance tolerance ``eps`` on the per-sweep norm.
-DEFAULT_TOLERANCE = 1e-6
-#: Default cap on best-reply sweeps before declaring non-convergence.
-DEFAULT_MAX_SWEEPS = 500
-
 Initialization = Literal["zero", "proportional", "uniform"]
-UpdateOrder = Literal["roundrobin", "random", "simultaneous"]
 
 
 def initial_profile(
@@ -83,71 +87,6 @@ def initial_profile(
     if init == "uniform":
         return StrategyProfile.uniform(system.n_users, system.n_computers)
     raise ValueError(f"unknown initialization {init!r}")
-
-
-def _fused_best_reply_inplace(
-    mu: np.ndarray,
-    job_rate: float,
-    own: np.ndarray,
-    lam: np.ndarray,
-    avail: np.ndarray,
-    thr: np.ndarray,
-) -> float:
-    """One OPTIMAL best reply with in-place aggregate bookkeeping.
-
-    ``own`` is the user's flow row inside the sweep's ``(m, n)`` flow
-    matrix and ``lam`` the running aggregate ``sum_j flows_j``; both are
-    updated in place (``lam += new_own - old_own``, the rank-1 delta that
-    makes the sweep ``O(m n log n)``).  ``avail``/``thr`` are preallocated
-    ``(n,)`` scratch buffers.  Returns the user's new expected response
-    time ``D_j``.
-
-    The arithmetic mirrors :func:`repro.core.waterfill.sqrt_waterfill`
-    with the per-call overhead (validation, dataclasses, defensive
-    branches) stripped; whenever some computer has no headroom left —
-    possible only from an infeasible initialization such as a uniform
-    split on a strongly heterogeneous system — it falls back to the
-    defensive scalar solver, which handles unavailable computers.
-    """
-    np.subtract(mu, lam, out=avail)
-    avail += own
-    if np.any(avail <= 0.0):
-        # Defensive path: unavailable computers present.
-        reply = optimal_fractions(avail, job_rate)
-        lam -= own
-        np.multiply(reply.fractions, job_rate, out=own)
-        lam += own
-        return float(reply.expected_response_time)
-
-    order = np.argsort(-avail, kind="stable")
-    a_sorted = avail[order]
-    roots = np.sqrt(a_sorted)
-    cum_a = np.cumsum(a_sorted)
-    cum_r = np.cumsum(roots)
-    if job_rate >= cum_a[-1]:
-        raise InfeasibleDemand(job_rate, float(cum_a[-1]))
-
-    # Threshold for every candidate support prefix, largest valid prefix.
-    np.subtract(cum_a, job_rate, out=thr)
-    thr /= cum_r
-    valid = roots > thr
-    cut = a_sorted.size - int(valid[::-1].argmax())
-
-    t = thr[cut - 1]
-    x = a_sorted[:cut] - t * roots[:cut]
-    np.maximum(x, 0.0, out=x)
-    x *= job_rate / x.sum()
-    # D_j = sum_i s_ji / (a_i - x_i) = (1/phi_j) sum_i x_i / (a_i - x_i);
-    # stability a_i - x_i > 0 holds by construction of the support
-    # (x_i < a_i on it), so the inline form is safe here.
-    gap = a_sorted[:cut] - x
-    d_j = float((x / gap).sum()) / job_rate  # reprolint: allow=R003 hot path; gap > 0 proven by the water-fill support
-
-    lam -= own
-    own[:] = 0.0
-    own[order[:cut]] = x
-    lam += own
-    return d_j
 
 
 @dataclass(frozen=True)
@@ -181,8 +120,8 @@ class NashResult:
     profile: StrategyProfile
     converged: bool
     iterations: int
-    norm_history: np.ndarray
-    user_times: np.ndarray
+    norm_history: FloatArray
+    user_times: FloatArray
     profile_history: tuple[StrategyProfile, ...] = field(default=())
     sample: SampleCertificate | None = None
 
@@ -237,14 +176,17 @@ class NashSolver:
     sample_k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
-        if self.order not in ("roundrobin", "random", "simultaneous"):
-            raise ValueError(f"unknown update order {self.order!r}")
-        if self.sample_k is not None and self.sample_k < 1:
-            raise ValueError("sample_k must be at least 1 (or None)")
+        self._engine()  # validates the configuration
+
+    def _engine(self) -> ClassNashSolver:
+        return ClassNashSolver(
+            tolerance=self.tolerance,
+            max_sweeps=self.max_sweeps,
+            order=self.order,
+            seed=self.seed,
+            record_history=self.record_history,
+            sample_k=self.sample_k,
+        )
 
     def solve(
         self,
@@ -255,6 +197,9 @@ class NashSolver:
     ) -> NashResult:
         """Run best-reply sweeps from the given initialization.
 
+        Every user is its own class, in user order, and the sweeps run on
+        :meth:`~repro.core.classes.ClassNashSolver.run_sweeps`.
+
         ``tracer`` (default: the ambient tracer, disabled unless installed
         with :func:`repro.telemetry.use_tracer`) records one
         ``solver.sweep`` event per sweep — the norm, the per-user regrets
@@ -264,11 +209,11 @@ class NashSolver:
         sweep (see docs/OBSERVABILITY.md for the overhead guarantee).
         """
         profile = initial_profile(system, init)
-        fractions = profile.fractions.copy()
         m, n = system.n_users, system.n_computers
-        rng = np.random.default_rng(self.seed) if self.order == "random" else None
+        phi = system.arrival_rates
         tracer = tracer if tracer is not None else current_tracer()
         trace = tracer.enabled
+        on_sweep: SweepHook | None = None
         if trace:
             tracer.emit(
                 "solver.start",
@@ -279,115 +224,13 @@ class NashSolver:
                 max_sweeps=self.max_sweeps,
             )
 
-        # D_j^{(0)}: zero for users with no allocation yet (NASH_0), the
-        # actual expected time otherwise.  An initial profile that
-        # conserves flow but overloads some computer (e.g. a uniform split
-        # on a heterogeneous system) has no finite expected times; treat it
-        # like NASH_0 for norm purposes — the first sweep repairs it.
-        last_times = np.zeros(m)
-        if np.allclose(fractions.sum(axis=1), 1.0):
-            try:
-                last_times = system.user_response_times(fractions)
-            except ValueError:
-                pass
-
-        mu = system.service_rates
-        phi = system.arrival_rates
-
-        # Hot loop state: the sweep works on the (m, n) flow matrix and the
-        # running aggregate ``lam = sum_j flows_j``, updated with a rank-1
-        # delta per best reply instead of a full O(m n) recomputation.
-        flows = fractions * phi[:, None]
-        avail = np.empty(n)
-        thr = np.empty(n)
-
-        # Power-of-k mode: k < n restricts every reply to support ∪
-        # sample; k >= n runs the exact path below unchanged (bit-for-bit
-        # parity) and only the certificate accounting differs.
-        sampling = self.sample_k is not None and self.sample_k < n
-        total_polls = 0
-
-        norms: list[float] = []
-        history: list[StrategyProfile] = []
-        converged = False
-        for _sweep in range(self.max_sweeps):
-            # Refreshing the aggregate once per sweep (O(m n), dwarfed by
-            # the m best replies) keeps the incremental round-off from
-            # drifting across sweeps, preserving parity with the ring
-            # protocol and the reference driver.
-            lam = flows.sum(axis=0)
-            sweep_started = perf_counter() if trace else 0.0
-            regrets = np.zeros(m) if trace else None
-            if self.order == "simultaneous":
-                # Jacobi: everyone responds to the previous sweep's profile,
-                # so all m best replies batch into one vectorized call
-                # (masked to the per-user reply sets in sampled mode).
-                available = (mu - lam)[None, :] + flows
-                if sampling:
-                    batch = sampled_best_reply_batch(
-                        available,
-                        flows,
-                        phi,
-                        seed=self.seed,
-                        sweep=_sweep,
-                        k=self.sample_k,
-                    )
-                    flows[:] = batch.flows
-                    times = batch.expected_response_times
-                    total_polls += batch.polls
-                else:
-                    replies = optimal_fractions_batch(available, phi)
-                    np.multiply(replies.fractions, phi[:, None], out=flows)
-                    times = replies.expected_response_times
-                deltas = np.abs(times - last_times)
-                norm = float(deltas.sum())
-                if trace:
-                    regrets = deltas
-                last_times = times
-            else:
-                schedule = (
-                    rng.permutation(m) if rng is not None else range(m)
-                )
-                norm = 0.0
-                if sampling:
-                    for j in schedule:
-                        np.subtract(mu, lam, out=avail)
-                        avail += flows[j]
-                        rep = sampled_best_reply(
-                            avail,
-                            flows[j],
-                            float(phi[j]),
-                            seed=self.seed,
-                            sweep=_sweep,
-                            index=int(j),
-                            k=self.sample_k,
-                        )
-                        total_polls += rep.polls
-                        lam += rep.flows - flows[j]
-                        flows[j] = rep.flows
-                        d_j = rep.expected_response_time
-                        delta = abs(d_j - last_times[j])
-                        norm += delta
-                        if regrets is not None:
-                            regrets[j] = delta
-                        last_times[j] = d_j
-                else:
-                    for j in schedule:
-                        d_j = _fused_best_reply_inplace(
-                            mu, float(phi[j]), flows[j], lam, avail, thr
-                        )
-                        delta = abs(d_j - last_times[j])
-                        norm += delta
-                        if regrets is not None:
-                            regrets[j] = delta
-                        last_times[j] = d_j
-            norms.append(norm)
-            if trace:
-                elapsed = perf_counter() - sweep_started
+            def emit_sweep(
+                index: int, norm: float, elapsed: float, regrets: FloatArray
+            ) -> None:
                 tracer.emit(
                     "solver.sweep",
-                    index=len(norms) - 1,
-                    sweep=len(norms),
+                    index=index,
+                    sweep=index + 1,
                     norm=norm,
                     elapsed_s=elapsed,
                     regrets=regrets,
@@ -395,13 +238,20 @@ class NashSolver:
                 tracer.count("solver.sweeps")
                 tracer.count("solver.best_replies", m)
                 tracer.observe("solver.sweep_seconds", elapsed)
-            if self.record_history:
-                history.append(StrategyProfile(flows / phi[:, None]))
-            if norm <= self.tolerance:
-                converged = True
-                break
 
-        final = StrategyProfile(flows / phi[:, None])
+            on_sweep = emit_sweep
+
+        # Singleton classes in user order — not aggregate_users, which
+        # sorts users and merges equal rates into symmetric-fill classes.
+        users = ClassAggregation(
+            service_rates=system.service_rates,
+            class_rates=phi,
+            counts=np.ones(m, dtype=np.intp),
+            demands=phi,
+        )
+        run = self._engine().run_sweeps(users, profile.fractions, on_sweep)
+        converged = run.converged
+        final = StrategyProfile(run.flows / phi[:, None])
         try:
             user_times = system.user_response_times(final.fractions)
         except ValueError:
@@ -411,46 +261,25 @@ class NashSolver:
             converged = False
         sample: SampleCertificate | None = None
         if self.sample_k is not None:
-            if not sampling:
-                # Full-information bypass: every reply observed all n
-                # computers — the poll baseline EXT11 measures against.
-                total_polls = len(norms) * m * n
             try:
                 epsilon = float(best_response_regrets(system, final).epsilon)
             except ValueError:
                 epsilon = float("inf")
-            sample = SampleCertificate(
-                k=min(self.sample_k, n),
-                n_computers=n,
-                sweeps=len(norms),
-                polls=total_polls,
-                sampled_norm=norms[-1] if norms else 0.0,
-                epsilon=epsilon,
-            )
-            if trace:
-                tracer.emit(
-                    "solver.sample",
-                    k=sample.k,
-                    computers=n,
-                    sweeps=sample.sweeps,
-                    polls=sample.polls,
-                    sampled_norm=sample.sampled_norm,
-                    epsilon=sample.epsilon,
-                )
+            sample = certify_sample(run, self.sample_k, n, epsilon, tracer)
         if trace:
             tracer.emit(
                 "solver.done",
                 converged=converged,
-                iterations=len(norms),
-                final_norm=norms[-1] if norms else 0.0,
+                iterations=len(run.norms),
+                final_norm=run.final_norm,
             )
         return NashResult(
             profile=final,
             converged=converged,
-            iterations=len(norms),
-            norm_history=np.asarray(norms, dtype=float),
+            iterations=len(run.norms),
+            norm_history=np.asarray(run.norms, dtype=float),
             user_times=user_times,
-            profile_history=tuple(history),
+            profile_history=tuple(StrategyProfile(f) for f in run.history),
             sample=sample,
         )
 

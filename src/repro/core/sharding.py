@@ -72,7 +72,7 @@ _BACKTRACK_LIMIT = 60
 #: Payload handed to a shard worker: residual service rates, the shard's
 #: per-member class rates, counts and true member-sum demands, its
 #: current class fractions, and the solver configuration (tolerance,
-#: max_sweeps, order, seed, use_jit).
+#: max_sweeps, order, seed).
 ShardPayload = tuple[
     FloatArray,
     FloatArray,
@@ -83,7 +83,6 @@ ShardPayload = tuple[
     int,
     str,
     int,
-    bool | None,
 ]
 
 #: Zero-copy variant: the shard's index array plus the round's frozen
@@ -102,7 +101,6 @@ ShmShardPayload = tuple[
     int,
     str,
     int,
-    bool | None,
 ]
 
 
@@ -152,7 +150,6 @@ def _solve_shard(
         max_sweeps,
         order,
         seed,
-        use_jit,
     ) = payload
     sub = ClassAggregation(
         service_rates=mu_residual,
@@ -168,7 +165,6 @@ def _solve_shard(
         max_sweeps=max_sweeps,
         order=order,  # type: ignore[arg-type]
         seed=seed,
-        use_jit=use_jit,
     )
     result = solver.solve(sub, init=fractions, tracer=DISABLED)
     return result.class_fractions, result.converged, result.iterations
@@ -199,7 +195,6 @@ def _solve_shard_shm(
         max_sweeps,
         order,
         seed,
-        use_jit,
     ) = payload
     mu = resolve(mu_handle)
     class_rates = resolve(class_rates_handle)
@@ -219,7 +214,6 @@ def _solve_shard_shm(
             max_sweeps,
             order,
             seed,
-            use_jit,
         )
     )
 
@@ -261,7 +255,6 @@ def solve_sharded(
     reconcile_sweeps: int = 2,
     order: str = "roundrobin",
     seed: int = 0,
-    use_jit: bool | None = None,
     n_workers: int | None = None,
     chunksize: int | None = 1,
     context: str | None = None,
@@ -371,7 +364,6 @@ def solve_sharded(
                     shard_max_sweeps,
                     order,
                     seed,
-                    use_jit,
                 )
                 for shard in shards
             ]
@@ -405,7 +397,6 @@ def solve_sharded(
                     shard_max_sweeps,
                     order,
                     seed,
-                    use_jit,
                 )
             )
         return parallel_map(
@@ -463,7 +454,6 @@ def solve_sharded(
                 max_sweeps=reconcile_budget,
                 order=order,  # type: ignore[arg-type]
                 seed=seed,
-                use_jit=use_jit,
             )
             reconciled = reconciler.solve(
                 aggregation, init=candidate, tracer=DISABLED

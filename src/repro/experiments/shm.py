@@ -65,6 +65,8 @@ from __future__ import annotations
 import atexit
 import hashlib
 import os
+import sys
+import threading
 import weakref
 from dataclasses import dataclass
 from types import TracebackType
@@ -101,7 +103,7 @@ C = TypeVar("C")
 DEFAULT_MIN_BYTES = 1 << 15
 
 #: Environment switch: ``REPRO_SHM=0`` disables the plane everywhere
-#: (every publish falls back to inline pickling).  Mirrors ``REPRO_JIT``.
+#: (every publish falls back to inline pickling).
 SHM_ENV_VAR = "REPRO_SHM"
 
 
@@ -430,6 +432,42 @@ atexit.register(sweep_planes)
 _WORKER_CACHE: dict[str, tuple[Any, np.ndarray]] = {}
 _WORKER_CACHE_HITS = [0]
 _CONSTRUCTED: dict[tuple[Hashable, ...], Any] = {}
+#: Serializes :func:`_attach`'s swap of ``resource_tracker.register``.
+_ATTACH_LOCK = threading.Lock()
+
+
+def _attach(name: str) -> Any:
+    """Attach to an existing block without tracking it in this process.
+
+    Only the publishing process owns a block and unlinks it.  A plain
+    attach on Python < 3.13 also registers the block with the attaching
+    process's ``resource_tracker``.  In a pool worker forked before the
+    coordinator started its tracker, that is a tracker of the worker's
+    own: at exit it reports the block as leaked and fails to unlink it
+    (ENOENT).  Unregistering after the attach is no cure where the
+    worker shares the coordinator's tracker (spawned workers, or workers
+    forked after the tracker started): the tracker keeps a set of names,
+    so the worker would drop the coordinator's own registration and the
+    coordinator's unlink would then fail inside the tracker (KeyError).
+    So the attach skips registration, which is what ``track=False``
+    spells on Python 3.13+.  The lock keeps two attaching threads from
+    restoring each other's stand-in.
+    """
+    from multiprocessing import resource_tracker, shared_memory
+
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    with _ATTACH_LOCK:
+        register = resource_tracker.register
+        resource_tracker.register = _no_register
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = register
+
+
+def _no_register(name: str, rtype: str) -> None:
+    """Stand-in for ``resource_tracker.register`` during :func:`_attach`."""
 
 
 def resolve(handle: ArrayRef | np.ndarray) -> np.ndarray:
@@ -446,9 +484,7 @@ def resolve(handle: ArrayRef | np.ndarray) -> np.ndarray:
     if cached is not None:
         _WORKER_CACHE_HITS[0] += 1
         return cached[1]
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=handle.name)
+    shm = _attach(handle.name)
     view: np.ndarray = np.ndarray(
         handle.shape, dtype=np.dtype(handle.dtype), buffer=shm.buf
     )

@@ -125,6 +125,5 @@ class NashScheme(LoadBalancingScheme):
                 "aggregate": True,
                 "n_classes": aggregation.n_classes,
                 "compression": aggregation.compression,
-                "backend": result.backend,
             },
         )

@@ -253,9 +253,8 @@ def class_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
     ``shard.solve`` events of :func:`~repro.core.sharding.solve_sharded`
     into one overview: aggregation shape (classes, users, compression),
     the user-weighted norm history (reconstructible exactly — the same
-    float round-trip guarantee the per-user solver enjoys), the chosen
-    kernel backend, and the per-round global certificate epsilons of a
-    sharded run.
+    float round-trip guarantee the per-user solver enjoys), and the
+    per-round global certificate epsilons of a sharded run.
     """
     starts: list[dict[str, Any]] = []
     sweeps: list[dict[str, Any]] = []
@@ -280,7 +279,6 @@ def class_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
         "classes": int(last_start.get("classes", 0)),
         "users": int(last_start.get("users", 0)),
         "compression": float(last_start.get("compression", 0.0)),
-        "backend": str(last_start.get("backend", "numpy")),
         "norm_history": [float(s["norm"]) for s in sweeps],
         "total_sweeps": len(sweeps),
         "total_elapsed_s": float(

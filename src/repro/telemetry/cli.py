@@ -121,7 +121,7 @@ def _render_summary(events: list[TraceEvent]) -> tuple[dict[str, Any], str]:
     if classes["n_solves"] or classes["n_rounds"]:
         shape = (
             f"{classes['classes']} classes / {classes['users']} users "
-            f"({classes['compression']:.0f}x, {classes['backend']})"
+            f"({classes['compression']:.0f}x)"
         )
         if classes["n_rounds"]:
             lines.append(

@@ -1,0 +1,167 @@
+"""KKT oracle for the best-reply kernels of the sweep engine.
+
+A player with job rate ``phi`` facing available rates ``a`` (service
+rate minus everyone else's flow) picks flows ``x`` minimising
+``D = (1/phi) sum_i x_i / (a_i - x_i)`` (paper Theorem 2.1).  The
+problem is convex, so ``x`` is the best reply iff the KKT conditions
+hold:
+
+* the flows sum to the demand;
+* ``0 <= x_i < a_i``;
+* the marginal cost ``a_i / (a_i - x_i)^2`` is one value ``nu`` across
+  the support;
+* no computer off the support would have been better: its marginal cost
+  at zero flow, ``1 / a_i``, is at least ``nu``.
+
+A class of ``count`` symmetric members splits its total flow ``y``
+evenly, so each member faces ``a = m - (count - 1) / count * y`` and
+plays ``x = y / count``: the same conditions certify the symmetric
+intra-class fill.  The kernels are checked against these conditions
+directly, not against a sibling implementation.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import classes
+from repro.core.classes import _fused_class_reply_inplace, _symmetric_class_fill
+from repro.queueing.mm1 import expected_response_time
+
+#: Rounding in a gap ``m_i - y_i`` next to a rate ``m_i`` is relative
+#: ``~ eps * m_i / gap``; the fill's Newton stop (relative 1e-14 on the
+#: demand) and its final rescale add ``~ 1e-14 * m_i / gap``.  The
+#: marginal cost squares the gap, so the tolerance scales with the
+#: conditioning ``max m_i / gap`` of the reply.
+_BASE_RTOL = 1e-9
+_CONDITIONING_RTOL = 1e-13
+
+
+def assert_kkt(
+    available: np.ndarray, flows: np.ndarray, demand: float, count: float = 1.0
+) -> float:
+    """Assert ``flows`` is the (member) best reply; return the tolerance."""
+    m = np.asarray(available, dtype=float)
+    y = np.asarray(flows, dtype=float)
+    a = m - (count - 1.0) / count * y
+    x = y / count
+
+    assert abs(y.sum() - demand) <= 1e-12 * demand, "flows must sum to demand"
+    assert np.all(y >= 0.0), "flows must be nonnegative"
+    support = y > 0.0
+    assert support.any(), "a positive demand needs a support"
+    assert np.all(x[support] < a[support]), "flows must stay below a_i"
+
+    # a_i - x_i, without the cancellation of subtracting two O(m_i) terms.
+    gap = m[support] - y[support]
+    conditioning = float((m[support] / gap).max())  # reprolint: allow=R003 a float conditioning ratio, not a response time
+    rtol = _BASE_RTOL + _CONDITIONING_RTOL * conditioning
+    marginal = a[support] / gap**2
+    nu = float(marginal.min())
+    assert float(marginal.max()) <= nu * (1.0 + rtol), (
+        "marginal cost a_i/(a_i - x_i)^2 must be equal across the support"
+    )
+    off = ~support & (a > 0.0)
+    assert np.all(1.0 / a[off] >= nu * (1.0 - rtol)), (
+        "a computer off the support would have been better"
+    )
+    return rtol
+
+
+def member_time(available: np.ndarray, flows: np.ndarray, demand: float) -> float:
+    """One member's expected response time, ``sum_i y_i / (m_i - y_i) / demand``."""
+    support = flows > 0.0
+    times = expected_response_time(flows[support], available[support])
+    return float(flows[support] @ times) / demand
+
+
+@st.composite
+def reply_cases(draw: st.DrawFn) -> tuple[np.ndarray, float]:
+    """(available rates, demand) at the edges where float code breaks.
+
+    Rates span a ratio of up to 10^6, may tie (drawn from a small pool),
+    and may include zero-headroom computers; the demand ranges from tiny
+    against capacity up to utilization ``1 - 1e-9``.
+    """
+    n = draw(st.integers(1, 10))
+    spread = draw(st.sampled_from([1.0, 10.0, 1e3, 1e6]))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+        exponents = [draw(st.sampled_from(pool)) for _ in range(n)]
+    else:
+        exponents = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    rates = np.array([spread**e for e in exponents])
+    if n > 1:
+        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        if not all(mask):
+            rates[np.array(mask)] = 0.0
+    utilization = draw(
+        st.sampled_from([1e-9, 0.5, 0.99, 1.0 - 1e-9]) | st.floats(0.01, 0.99)
+    )
+    return rates, utilization * float(rates[rates > 0.0].sum())
+
+
+def fused_reply(available: np.ndarray, demand: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Run the singleton fused reply; return its availability, flows, time.
+
+    The foreign load is arbitrary: ``mu = available + foreign`` and
+    ``lam = foreign`` give back ``mu - lam + own = available`` (exactly
+    where ``available`` is zero).
+    """
+    n = available.size
+    foreign = np.linspace(0.5, 2.0, n) * max(float(available.max()), 1.0)
+    mu = available + foreign
+    lam = foreign.copy()
+    own = np.zeros(n)
+    avail = np.empty(n)
+    thr = np.empty(n)
+    d = _fused_class_reply_inplace(mu, 1.0, demand, own, lam, avail, thr)
+    np.testing.assert_allclose(lam, foreign + own, rtol=1e-12)
+    return avail, own, d
+
+
+class TestFusedReply:
+    @given(reply_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((np.array([7.0]), 7.0 * (1.0 - 1e-9)))
+    @example((np.array([3.0, 3.0, 3.0]), 4.0))
+    @example((np.array([1.0, 1e6, 0.0]), 0.5 * (1.0 + 1e6)))
+    def test_satisfies_kkt(self, case):
+        available, demand = case
+        avail, flows, d = fused_reply(available, demand)
+        rtol = assert_kkt(avail, flows, demand)
+        assert abs(d - member_time(avail, flows, demand)) <= rtol * d
+
+    def test_zero_headroom_takes_defensive_path(self):
+        available = np.array([4.0, 0.0, 1.0])
+        with mock.patch.object(
+            classes, "optimal_fractions", wraps=classes.optimal_fractions
+        ) as fallback:
+            avail, flows, _ = fused_reply(available, 2.5)
+        assert fallback.call_count == 1
+        assert flows[1] == 0.0
+        assert_kkt(avail, flows, 2.5)
+
+    def test_full_headroom_stays_on_the_fused_path(self):
+        with mock.patch.object(
+            classes, "optimal_fractions", wraps=classes.optimal_fractions
+        ) as fallback:
+            fused_reply(np.array([4.0, 2.0, 1.0]), 2.5)
+        assert fallback.call_count == 0
+
+
+class TestSymmetricFill:
+    @given(reply_cases(), st.sampled_from([1, 2, 3, 10, 1000, 100_000]))
+    @settings(max_examples=300, deadline=None)
+    @example((np.array([7.0]), 7.0 * (1.0 - 1e-9)), 1000)
+    @example((np.array([3.0, 3.0, 3.0]), 4.0), 10)
+    @example((np.array([1.0, 1e6, 0.0]), 0.5 * (1.0 + 1e6)), 2)
+    def test_satisfies_kkt(self, case, count):
+        available, demand = case
+        y, d = _symmetric_class_fill(available, demand, count)
+        rtol = assert_kkt(available, y, demand, count)
+        assert abs(d - member_time(available, y, demand)) <= rtol * d

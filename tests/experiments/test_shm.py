@@ -281,3 +281,34 @@ class TestAtexitOrdering:
 
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=block_name)
+
+
+WORKER_ATTACH_SCRIPT = """
+import sys
+
+from repro.experiments import sim_validation
+from repro.experiments.parallel import parallel_map
+
+if sys.argv[1] == "pool-first":
+    # Workers forked before the coordinator's resource tracker exists
+    # would each start a tracker of their own on their first attach.
+    parallel_map(abs, [1, 2, 3], n_workers=2)
+sim_validation.run(n_workers=2, horizon=400.0, warmup=40.0)
+"""
+
+
+class TestWorkerAttach:
+    @pytest.mark.parametrize("ordering", ["pool-first", "plane-first"])
+    def test_worker_attaches_leave_no_tracker_noise(self, ordering):
+        """Workers never own blocks, so no tracker may claim them."""
+        result = subprocess.run(
+            [sys.executable, "-c", WORKER_ATTACH_SCRIPT, ordering],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "leaked shared_memory" not in result.stderr
+        # A worker that unregistered a block from a tracker it shares
+        # with the coordinator makes the coordinator's unlink fail there.
+        assert "resource_tracker" not in result.stderr
