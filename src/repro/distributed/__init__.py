@@ -1,15 +1,24 @@
 """Distributed execution of the NASH algorithm (paper Sec. 3).
 
-An in-process message-passing runtime standing in for the physical
-distributed system: FIFO mailboxes (:class:`MessageBus`), a shared
-observable computer state (:class:`ComputerBoard`), and selfish
-:class:`UserAgent` processes circulating the best-reply token around a
-logical ring.
+An in-process message-passing runtime stands in for the physical
+distributed system: selfish :class:`UserAgent` processes circulate the
+best-reply token around a logical ring, observing a shared
+:class:`ComputerBoard` and talking over FIFO mailboxes.
 
-Robustness is layered: :mod:`repro.distributed.faults` survives a lossy
-network (drops/duplicates), and :mod:`repro.distributed.chaos` survives a
-crashy *system* — agents dying and restarting from checkpoints, and
-computers failing out from under the game.
+One circulation loop (:mod:`repro.distributed.runtime`) runs every
+protocol driver.  The drivers are thin wrappers that choose its bus and
+its agents:
+
+* :func:`run_nash_protocol` — the reliable :class:`MessageBus`;
+* :func:`run_nash_protocol_lossy` — the :class:`LossyMessageBus`, which
+  drops and duplicates messages, with retransmission and
+  :class:`DedupingAgent` deduplication (:mod:`repro.distributed.faults`);
+* :func:`run_nash_protocol_resilient` — the :class:`CrashyMessageBus`,
+  where agents die and restart from checkpoints and computers fail, with
+  the one supervisor of :mod:`repro.distributed.chaos`;
+* :func:`run_sampled_nash_protocol` — the reliable bus with
+  agents (:class:`SampledUserAgent`) that best-reply over power-of-k sampled
+  information (:mod:`repro.distributed.sampled`).
 """
 
 from repro.distributed.chaos import (
@@ -17,7 +26,6 @@ from repro.distributed.chaos import (
     FaultEvent,
     FaultKind,
     FaultSchedule,
-    ResilientAgent,
     ResilientOutcome,
     run_nash_protocol_resilient,
 )
@@ -52,7 +60,6 @@ __all__ = [
     "FaultSchedule",
     "HeartbeatFailureDetector",
     "LossyMessageBus",
-    "ResilientAgent",
     "ResilientOutcome",
     "run_nash_protocol_lossy",
     "run_nash_protocol_resilient",

@@ -1,37 +1,34 @@
-"""Crash-fault injection and the self-healing NASH protocol driver.
+"""Crash faults, the ring supervisor, and the self-healing driver.
 
 :mod:`repro.distributed.faults` makes the token ring survive a lossy
 *network*; this module makes it survive a lossy *system*: user agents
 that crash (losing volatile state and mailbox) and later restart, and
 computers that go offline (permanently or temporarily) mid-run.
 
-The pieces, bottom up:
-
 * :class:`FaultSchedule` — scripted or seeded ``(step, kind, target)``
-  fault events, validated for crash/restart alternation and replayable
-  bit-for-bit;
+  fault events, validated and replayable bit-for-bit;
 * :class:`CrashyMessageBus` — the lossy bus plus crash semantics: a dead
   rank's mailbox is wiped and everything sent to it is dropped;
-* :class:`ResilientAgent` — a deduping agent whose initiator refuses to
-  accept a convergence norm measured partly before a topology change;
-* :func:`run_nash_protocol_resilient` — the supervisor: heartbeat-based
-  failure detection, checkpoint/restore of crashed agents, capped
-  exponential retransmission backoff, and graceful degradation onto the
-  surviving computer set (or a typed
-  :class:`~repro.core.degradation.CapacityExhausted` when the survivors
-  cannot carry the load).
+* :class:`RingSupervisor` — everything only the resilient driver needs,
+  called by the ring loop of :mod:`repro.distributed.runtime` at fixed
+  points of each step: fault injection, heartbeat failure detection,
+  checkpoint/restore of crashed agents, ring reopen after a topology
+  change, retransmission backoff, and graceful degradation onto the
+  surviving computers (or a typed
+  :class:`~repro.core.degradation.CapacityExhausted`);
+* :func:`run_nash_protocol_resilient` — the ring loop over the crashy bus
+  with deduplicating agents and a supervisor.
 
-The degraded-equilibrium guarantee: a run that loses computers converges
-to exactly the Nash equilibrium of the game restricted to the surviving
-computers — the fixed point does not remember the failure history, only
-the final topology.  Crashes happen *between* supervisor steps (an
-agent's message handling is atomic), and the supervisor's outbox log
-survives crashes — the classic sender-based message-logging assumption.
+A run that loses computers converges to the Nash equilibrium of the game
+restricted to the survivors: the fixed point remembers only the final
+topology, not the failure history.  Crashes happen *between* steps (an
+agent's message handling is atomic), and the outbox log survives crashes
+— the classic sender-based message-logging assumption.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Iterable, Sequence
 
@@ -39,12 +36,7 @@ import numpy as np
 
 from repro.core.degradation import project_profile, surviving_subsystem
 from repro.core.model import DistributedSystem
-from repro.core.nash import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_TOLERANCE,
-    Initialization,
-    NashResult,
-)
+from repro.core.nash import DEFAULT_MAX_SWEEPS, DEFAULT_TOLERANCE, Initialization
 from repro.core.strategy import StrategyProfile
 from repro.distributed.checkpoint import CheckpointStore
 from repro.distributed.failure_detector import (
@@ -54,7 +46,7 @@ from repro.distributed.failure_detector import (
 from repro.distributed.faults import DedupingAgent, LossyMessageBus
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.node import ComputerBoard
-from repro.distributed.runtime import ProtocolOutcome, seed_initial_state
+from repro.distributed.runtime import ProtocolOutcome, _circulate, _finish
 from repro.telemetry.trace import Tracer, current_tracer
 
 __all__ = [
@@ -62,10 +54,14 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "CrashyMessageBus",
-    "ResilientAgent",
     "ResilientOutcome",
     "run_nash_protocol_resilient",
 ]
+
+#: Stall-triggered retransmission pacing, in supervisor steps: the first
+#: retry fires after one stalled step, then the wait doubles up to 16.
+BACKOFF_BASE = 1
+BACKOFF_CAP = 16
 
 
 class FaultKind(Enum):
@@ -81,7 +77,14 @@ class FaultKind(Enum):
     COMPUTER_UP = auto()
 
 
-_AGENT_KINDS = (FaultKind.AGENT_CRASH, FaultKind.AGENT_RESTART)
+#: Per kind: what the event targets, whether it takes the target down,
+#: and the error when the target is already in that state.
+_TRANSITIONS = {
+    FaultKind.AGENT_CRASH: ("agent", True, "crashed while already down"),
+    FaultKind.AGENT_RESTART: ("agent", False, "restarted while running"),
+    FaultKind.COMPUTER_DOWN: ("computer", True, "failed while already down"),
+    FaultKind.COMPUTER_UP: ("computer", False, "restored while online"),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,38 +113,17 @@ class FaultSchedule:
 
     def __init__(self, events: Iterable[FaultEvent] = ()):
         ordered = sorted(events, key=lambda event: event.step)
-        agent_down: set[int] = set()
-        computer_down: set[int] = set()
+        down: set[tuple[str, int]] = set()
         for event in ordered:
-            if event.kind is FaultKind.AGENT_CRASH:
-                if event.target in agent_down:
-                    raise ValueError(
-                        f"agent {event.target} crashed while already down"
-                    )
-                agent_down.add(event.target)
-            elif event.kind is FaultKind.AGENT_RESTART:
-                if event.target not in agent_down:
-                    raise ValueError(
-                        f"agent {event.target} restarted while running"
-                    )
-                agent_down.discard(event.target)
-            elif event.kind is FaultKind.COMPUTER_DOWN:
-                if event.target in computer_down:
-                    raise ValueError(
-                        f"computer {event.target} failed while already down"
-                    )
-                computer_down.add(event.target)
-            elif event.kind is FaultKind.COMPUTER_UP:
-                if event.target not in computer_down:
-                    raise ValueError(
-                        f"computer {event.target} restored while online"
-                    )
-                computer_down.discard(event.target)
+            subject, goes_down, error = _TRANSITIONS[event.kind]
+            key = (subject, event.target)
+            if (key in down) == goes_down:
+                raise ValueError(f"{subject} {event.target} {error}")
+            if goes_down:
+                down.add(key)
+            else:
+                down.discard(key)
         self._events = tuple(ordered)
-        self._by_step: dict[int, tuple[FaultEvent, ...]] = {}
-        for event in ordered:
-            self._by_step.setdefault(event.step, ())
-            self._by_step[event.step] += (event,)
 
     @property
     def events(self) -> tuple[FaultEvent, ...]:
@@ -156,7 +138,7 @@ class FaultSchedule:
         return self._events[-1].step if self._events else 0
 
     def events_at(self, step: int) -> tuple[FaultEvent, ...]:
-        return self._by_step.get(step, ())
+        return tuple(event for event in self._events if event.step == step)
 
     def pending_restart(self, rank: int, step: int) -> bool:
         """Is an AGENT_RESTART for ``rank`` still scheduled after ``step``?"""
@@ -261,53 +243,9 @@ class CrashyMessageBus(LossyMessageBus):
         super()._deliver(message)
 
 
-class ResilientAgent(DedupingAgent):
-    """A deduping agent hardened for topology changes.
-
-    The initiator refuses to terminate on a circulation that began before
-    the latest topology change (``min_termination_sweep``): the norm it
-    carries mixes pre- and post-failure deltas and proves nothing about
-    the degraded game.  The supervisor may also re-inject a token
-    (:meth:`rekick`) after cancelling a stale TERMINATE wave.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        #: Earliest sweep whose circulation ran entirely after the last
-        #: topology change — termination on earlier sweeps is vetoed.
-        self.min_termination_sweep = 0
-
-    def _should_terminate(self, message: Message) -> bool:
-        if message.sweep >= self._max_sweeps:
-            return True  # budget exhausted: stop even if vetoed
-        return (
-            message.norm <= self._tolerance
-            and message.sweep >= self.min_termination_sweep
-        )
-
-    def rekick(self, sweep: int) -> None:
-        """Initiator only: restart a dead ring with a fresh token."""
-        if self.rank != 0:
-            raise RuntimeError("only rank 0 can re-kick the ring")
-        norm = self._update()
-        self._bus.send(
-            Message(
-                kind=MessageKind.TOKEN,
-                sender=self.rank,
-                receiver=self._next_rank,
-                sweep=sweep,
-                norm=norm,
-            )
-        )
-
-
 @dataclass(frozen=True)
 class ResilientOutcome(ProtocolOutcome):
-    """A resilient protocol run: the Nash result plus the recovery story.
-
-    Extends :class:`~repro.distributed.runtime.ProtocolOutcome` with the
-    supervisor's fault/recovery accounting.
-    """
+    """A resilient run: :class:`ProtocolOutcome` plus recovery accounting."""
 
     #: Agent crash / restart / checkpoint-restore counts.
     crashes: int = 0
@@ -343,20 +281,216 @@ class ResilientOutcome(ProtocolOutcome):
 def _refresh_baselines(system, board, agents) -> None:
     """Reset every agent's ``D_j`` baseline to the projected-profile times.
 
-    Offline computers carry zero flow after projection, so the full-width
-    formula is exact for the degraded system.  If the projection
-    transiently overloads a live computer the refresh is skipped — the
-    next best replies repair the profile and the norm simply spikes.
+    Skipped if the projection transiently overloads a live computer: the
+    next best replies repair the profile and the norm just spikes.
     """
-    fractions = board.flows / np.asarray(
-        [agent.job_rate for agent in agents]
-    )[:, None]
     try:
-        times = system.user_response_times(fractions)
+        times = system.user_response_times(board.flows / system.arrival_rates[:, None])
     except ValueError:
         return
     for agent, time in zip(agents, times):
         agent._previous_time = float(time)
+
+
+class RingSupervisor:
+    """The resilient driver's share of the ring loop.
+
+    The loop calls :meth:`begin` once before the first token, then on
+    every step :meth:`before_delivery` and :meth:`after_delivery`; on a
+    step that delivered nothing it asks :meth:`retransmit_due` and skips
+    receivers the supervisor :meth:`suspects`.  Like a cluster manager,
+    it sees liveness only through the bus and heartbeats.
+    """
+
+    def __init__(
+        self,
+        system: DistributedSystem,
+        schedule: FaultSchedule,
+        *,
+        checkpoint_interval: int,
+        suspect_after: int,
+        max_sweeps: int,
+        tracer: Tracer,
+    ):
+        self.system = system
+        self.schedule = schedule
+        self.checkpoint_interval = checkpoint_interval
+        self.tracer = tracer
+        #: Livelock guard on the loop's steps.
+        self.max_steps = (
+            64 * (max_sweeps + 2) * (system.n_users + 2) + 2 * schedule.max_step
+        )
+        self.store = CheckpointStore()
+        self.detector = HeartbeatFailureDetector(suspect_after)
+        self.backoff = ExponentialBackoff(BACKOFF_BASE, BACKOFF_CAP)
+        #: Ring generation, bumped on every reopen; a checkpoint from an
+        #: older generation never resurrects termination flags.
+        self.generation = 0
+        self.crashes = self.restarts = self.ring_reopens = self.events_applied = 0
+        self.computers_failed: list[int] = []
+        self.computers_restored: list[int] = []
+        self._rekick_pending = False
+        self._stall = 0
+        self._suspects: frozenset[int] = frozenset()
+
+    def begin(
+        self,
+        board: ComputerBoard,
+        agents: list[DedupingAgent],
+        bus: CrashyMessageBus,
+        last_sent: dict[int, Message],
+    ) -> None:
+        """Checkpoint and heartbeat every agent; keep the loop's outbox log."""
+        self.board, self.agents, self.bus = board, agents, bus
+        self._last_sent = last_sent
+        for agent in agents:
+            self._capture(agent, 0)
+            self.detector.beat(agent.rank, 0)
+
+    # -- hooks of one loop step -----------------------------------------
+    def before_delivery(self, step: int) -> None:
+        """Check the livelock guard, inject faults, re-kick a reopened ring."""
+        if step > self.max_steps:
+            raise RuntimeError(
+                f"resilient protocol exceeded {self.max_steps} supervisor "
+                "steps without terminating (livelock?)"
+            )
+        for event in self.schedule.events_at(step):
+            self.events_applied += 1
+            self.tracer.emit(
+                "protocol.fault",
+                step=step,
+                kind=event.kind.name.lower(),
+                target=event.target,
+            )
+            self._apply(event, step)
+        if self._rekick_pending and not self.bus.is_dead(0):
+            self.agents[0].start(self._newest_sweep() + 1)
+            self._rekick_pending = False
+
+    def after_delivery(self, step: int, delivered: int) -> None:
+        """Heartbeat live agents, update suspicion, take due checkpoints."""
+        live = [a for a in self.agents if not self.bus.is_dead(a.rank)]
+        for agent in live:
+            self.detector.beat(agent.rank, step)
+        suspected = self.detector.check(step)
+        if self.tracer.enabled:
+            for rank in sorted(suspected - self._suspects):
+                self.tracer.emit("protocol.suspect", rank=rank, step=step)
+                self.tracer.count("protocol.suspicions")
+        self._suspects = suspected
+        if self.checkpoint_interval and step % self.checkpoint_interval == 0:
+            for agent in live:
+                self._capture(agent, step)
+        if delivered:
+            self._stall = 0
+            self.backoff.reset()
+
+    def retransmit_due(self) -> bool:
+        """A step delivered nothing: has the backoff wait run out?"""
+        if self._rekick_pending:
+            return False  # ring intentionally idle until rank 0 restarts
+        self._stall += 1
+        if self._stall < self.backoff.current:
+            return False
+        self._stall = 0
+        self.backoff.advance()
+        return True
+
+    def suspects(self, rank: int, step: int) -> bool:
+        """Is ``rank`` suspected dead, so a retransmission to it is moot?
+
+        Fails if it will never come back: every circulation needs every
+        agent, and no retransmission can route around a dead end.
+        """
+        if not self.detector.is_suspected(rank):
+            return False
+        if not self.schedule.pending_restart(rank, step):
+            raise RuntimeError(f"agent {rank} never restarts; the ring cannot recover")
+        return True
+
+    # -- internals -------------------------------------------------------
+    def _newest_sweep(self) -> int:
+        return max(agent._last_acted_sweep for agent in self.agents)
+
+    def _reproject(self, ranks: Sequence[int]) -> None:
+        """Re-project the flow rows of ``ranks`` onto the online computers."""
+        board = self.board
+        rows = project_profile(
+            board.flows[list(ranks)],
+            board.online_mask,
+            fallback_rates=self.system.service_rates,
+        )
+        for rank, row in zip(ranks, rows):
+            board.publish(rank, row)
+
+    def _capture(self, agent: DedupingAgent, step: int) -> None:
+        self.store.capture(agent, self.board, step=step, generation=self.generation)
+        if self.tracer.enabled:
+            self.tracer.emit("protocol.checkpoint", step=step, rank=agent.rank)
+            self.tracer.count("protocol.checkpoint_captures")
+
+    def _apply(self, event: FaultEvent, step: int) -> None:
+        system, board, agents = self.system, self.board, self.agents
+        rank = computer = event.target
+        if event.kind is FaultKind.AGENT_CRASH:
+            self.bus.mark_dead(rank)
+            self.crashes += 1
+        elif event.kind is FaultKind.AGENT_RESTART:
+            self.bus.mark_alive(rank)
+            self.store.restore(agents[rank], board, generation=self.generation)
+            # norm_history_length lets the trace replay the rollback: the
+            # reconstruction truncates rank 0's history to the checkpointed
+            # prefix.
+            self.tracer.emit(
+                "protocol.restore",
+                rank=rank,
+                step=step,
+                norm_history_length=len(agents[rank].norm_history),
+            )
+            self.tracer.count("protocol.checkpoint_restores")
+            # The checkpointed flows may predate a computer failure.
+            self._reproject([rank])
+            self.detector.beat(rank, step)
+            self.restarts += 1
+            self._stall = 0
+            self.backoff.reset()
+        elif event.kind is FaultKind.COMPUTER_DOWN:
+            board.set_computer_online(computer, False)
+            self.computers_failed.append(computer)
+            # Stability re-check: raises CapacityExhausted (typed, with
+            # diagnostics) when the survivors cannot carry Phi.
+            surviving_subsystem(system, board.online_mask)
+            self._reproject(range(len(agents)))
+            _refresh_baselines(system, board, agents)
+            self._topology_changed(step)
+        elif event.kind is FaultKind.COMPUTER_UP:
+            board.set_computer_online(computer, True)
+            self.computers_restored.append(computer)
+            self._topology_changed(step)
+
+    def _topology_changed(self, step: int) -> None:
+        """Veto stale termination; cancel an in-flight TERMINATE wave."""
+        agents = self.agents
+        agents[0].min_termination_sweep = max(
+            agents[0].min_termination_sweep, self._newest_sweep() + 1
+        )
+        if not agents[0].finished:
+            return
+        # TERMINATE is circulating on a pre-failure norm: reopen.  A dead
+        # agent's flags are cleared too; its restore overwrites them.
+        self.generation += 1
+        self.ring_reopens += 1
+        self.tracer.emit("protocol.reopen", step=step, generation=self.generation)
+        self.tracer.count("protocol.ring_reopens")
+        self.bus.purge(MessageKind.TERMINATE)
+        for agent in agents:
+            agent.finished = False
+            agent._terminated = False
+        for sender, message in list(self._last_sent.items()):
+            if message.kind is MessageKind.TERMINATE:
+                del self._last_sent[sender]
+        self._rekick_pending = True
 
 
 def run_nash_protocol_resilient(
@@ -371,21 +505,16 @@ def run_nash_protocol_resilient(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     checkpoint_interval: int = 8,
     suspect_after: int = 3,
-    backoff_base: int = 1,
-    backoff_cap: int = 16,
-    max_steps: int | None = None,
     tracer: Tracer | None = None,
 ) -> ResilientOutcome:
     """The NASH ring protocol under crash faults and computer failures.
 
-    Runs the token-ring protocol of the paper over a
-    :class:`CrashyMessageBus`, supervised: live agents heartbeat every
-    step, a :class:`~repro.distributed.failure_detector.\
-HeartbeatFailureDetector` suspects silent ones, stalls are healed by
-    retransmitting the supervisor's outbox log with capped exponential
-    backoff, crashed agents are restored from periodic checkpoints when
-    they restart, and computer failures degrade the game onto the
-    surviving machines (strategies re-projected, stability re-checked).
+    The ring loop over a :class:`CrashyMessageBus`, supervised by a
+    :class:`RingSupervisor`: heartbeats expose dead agents, stalls are
+    healed by retransmission with capped exponential backoff
+    (:data:`BACKOFF_BASE` to :data:`BACKOFF_CAP` steps), restarted agents
+    resume from periodic checkpoints, and computer failures degrade the
+    game onto the surviving machines.
 
     Raises
     ------
@@ -393,323 +522,65 @@ HeartbeatFailureDetector` suspects silent ones, stalls are healed by
         When a computer failure leaves ``Phi >= sum of surviving mu_i``.
     RuntimeError
         When the ring cannot recover (an agent crashed with no scheduled
-        restart while the protocol still needs it) or ``max_steps`` is
-        exceeded.
+        restart while the protocol still needs it) or the run exceeds the
+        supervisor's livelock guard on steps.
     """
     schedule = schedule if schedule is not None else FaultSchedule(())
     tracer = tracer if tracer is not None else current_tracer()
-    trace = tracer.enabled
-    m = system.n_users
-    board = ComputerBoard(system.service_rates, m)
-    bus = CrashyMessageBus(m, drop=drop, duplicate=duplicate, seed=fault_seed)
-    agents = [
-        ResilientAgent(
-            rank=j,
-            job_rate=float(system.arrival_rates[j]),
-            board=board,
-            bus=bus,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-            tracer=tracer,
-        )
-        for j in range(m)
-    ]
-
-    seed_initial_state(system, board, agents, init)
-    if trace:
-        tracer.emit(
-            "protocol.start",
-            driver="resilient",
-            users=m,
-            computers=system.n_computers,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-            drop=drop,
-            duplicate=duplicate,
-            checkpoint_interval=checkpoint_interval,
-            suspect_after=suspect_after,
-            scheduled_events=schedule.n_events,
-        )
-
-    # Supervisor-side write-ahead outbox log (sender-based message
-    # logging): survives agent crashes, feeds retransmission.
-    last_sent: dict[int, Message] = {}
-    bus.add_outbox_hook(lambda message: last_sent.__setitem__(message.sender, message))
-
-    store = CheckpointStore()
-    detector = HeartbeatFailureDetector(suspect_after)
-    backoff = ExponentialBackoff(backoff_base, backoff_cap)
-    generation = 0
-    for j, agent in enumerate(agents):
-        store.capture(agent, board, step=0, generation=generation)
-        detector.beat(j, 0)
-        if trace:
-            tracer.emit("protocol.checkpoint", step=0, rank=j)
-            tracer.count("protocol.checkpoint_captures")
-
-    alive = [True] * m
-    finished_at_crash = [False] * m
-
-    def finished_view(rank: int) -> bool:
-        return agents[rank].finished if alive[rank] else finished_at_crash[rank]
-
-    crashes = restarts = 0
-    computers_failed: list[int] = []
-    computers_restored: list[int] = []
-    ring_reopens = 0
-    rekick_pending = False
-    events_applied = 0
-    messages = retransmissions = 0
-    stall = 0
-    step = 0
-    known_suspects: set[int] = set()
-    if max_steps is None:
-        max_steps = 64 * (max_sweeps + 2) * (m + 2) + 2 * schedule.max_step
-
-    def note_topology_change() -> None:
-        """Veto stale termination; cancel an in-flight TERMINATE wave."""
-        nonlocal generation, ring_reopens, rekick_pending
-        current_sweep = max(agent._last_acted_sweep for agent in agents)
-        agents[0].min_termination_sweep = max(
-            agents[0].min_termination_sweep, current_sweep + 1
-        )
-        if finished_view(0):
-            # TERMINATE is circulating on a pre-failure norm: reopen.
-            generation += 1
-            ring_reopens += 1
-            if trace:
-                tracer.emit("protocol.reopen", step=step, generation=generation)
-                tracer.count("protocol.ring_reopens")
-            bus.purge(MessageKind.TERMINATE)
-            for j in range(m):
-                finished_at_crash[j] = False
-                if alive[j]:
-                    agents[j].finished = False
-                    agents[j]._terminated = False
-            for sender in [
-                s for s, msg in last_sent.items()
-                if msg.kind is MessageKind.TERMINATE
-            ]:
-                del last_sent[sender]
-            rekick_pending = True
-
-    agents[0].start()
-    while True:
-        if all(finished_view(j) for j in range(m)):
-            break
-        step += 1
-        if step > max_steps:
-            raise RuntimeError(
-                f"resilient protocol exceeded {max_steps} supervisor steps "
-                "without terminating (livelock?)"
-            )
-
-        # -- 1. fault injection ---------------------------------------
-        for event in schedule.events_at(step):
-            events_applied += 1
-            rank = computer = event.target
-            if trace:
-                tracer.emit(
-                    "protocol.fault",
-                    step=step,
-                    kind=event.kind.name.lower(),
-                    target=event.target,
-                )
-            if event.kind is FaultKind.AGENT_CRASH:
-                if not alive[rank]:
-                    raise RuntimeError(f"agent {rank} crashed twice")
-                finished_at_crash[rank] = agents[rank].finished
-                alive[rank] = False
-                bus.mark_dead(rank)
-                crashes += 1
-            elif event.kind is FaultKind.AGENT_RESTART:
-                bus.mark_alive(rank)
-                alive[rank] = True
-                store.restore(agents[rank], board, generation=generation)
-                if trace:
-                    # norm_history_length lets the trace replay the
-                    # rollback: the reconstruction truncates rank 0's
-                    # history to the checkpointed prefix.
-                    tracer.emit(
-                        "protocol.restore",
-                        rank=rank,
-                        step=step,
-                        norm_history_length=len(agents[rank].norm_history),
-                    )
-                    tracer.count("protocol.checkpoint_restores")
-                # The checkpointed flows may predate a computer failure:
-                # re-project the restored row onto the live computer set.
-                row = project_profile(
-                    board.flows[rank][None, :],
-                    board.online_mask,
-                    fallback_rates=system.service_rates,
-                )[0]
-                board.publish(rank, row)
-                detector.beat(rank, step)
-                restarts += 1
-                stall = 0
-                backoff.reset()
-            elif event.kind is FaultKind.COMPUTER_DOWN:
-                board.set_computer_online(computer, False)
-                computers_failed.append(computer)
-                # Stability re-check: raises CapacityExhausted (typed,
-                # with diagnostics) when the survivors cannot carry Phi.
-                surviving_subsystem(system, board.online_mask)
-                projected = project_profile(
-                    board.flows,
-                    board.online_mask,
-                    fallback_rates=system.service_rates,
-                )
-                for j in range(m):
-                    board.publish(j, projected[j])
-                _refresh_baselines(system, board, agents)
-                note_topology_change()
-            elif event.kind is FaultKind.COMPUTER_UP:
-                board.set_computer_online(computer, True)
-                computers_restored.append(computer)
-                note_topology_change()
-        if rekick_pending and alive[0]:
-            next_sweep = max(agent._last_acted_sweep for agent in agents) + 1
-            agents[0].rekick(next_sweep)
-            rekick_pending = False
-
-        # -- 2. message delivery --------------------------------------
-        delivered = 0
-        for rank in bus.pending_ranks():
-            message = bus.recv(rank)
-            if trace:
-                kind = message.kind.name.lower()
-                tracer.emit(
-                    "protocol.deliver",
-                    kind=kind,
-                    sender=message.sender,
-                    receiver=message.receiver,
-                    sweep=message.sweep,
-                    norm=message.norm,
-                )
-                tracer.count(f"protocol.messages.{kind}")
-            agents[rank].handle(message)
-            delivered += 1
-            messages += 1
-
-        # -- 3. heartbeats and failure detection ----------------------
-        for j in range(m):
-            if alive[j]:
-                detector.beat(j, step)
-        suspected = detector.check(step)
-        if trace:
-            for j in sorted(suspected - known_suspects):
-                tracer.emit("protocol.suspect", rank=j, step=step)
-                tracer.count("protocol.suspicions")
-        known_suspects = set(suspected)
-
-        # -- 4. periodic checkpoints ----------------------------------
-        if checkpoint_interval and step % checkpoint_interval == 0:
-            for j in range(m):
-                if alive[j]:
-                    store.capture(
-                        agents[j], board, step=step, generation=generation
-                    )
-                    if trace:
-                        tracer.emit("protocol.checkpoint", step=step, rank=j)
-                        tracer.count("protocol.checkpoint_captures")
-
-        # -- 5. stall recovery ----------------------------------------
-        if delivered:
-            stall = 0
-            backoff.reset()
-            continue
-        if all(finished_view(j) for j in range(m)):
-            continue  # loop top will break
-        if rekick_pending:
-            continue  # ring intentionally idle until rank 0 restarts
-        stall += 1
-        if stall < backoff.current:
-            continue
-        stall = 0
-        backoff.advance()
-        progressed = 0
-        blocked: list[int] = []
-        for _sender, message in sorted(last_sent.items()):
-            receiver = message.receiver
-            if finished_view(receiver):
-                continue
-            if detector.is_suspected(receiver):
-                blocked.append(receiver)
-                continue
-            bus.resend(message)
-            retransmissions += 1
-            progressed += 1
-            if trace:
-                tracer.emit(
-                    "protocol.retransmit",
-                    kind=message.kind.name.lower(),
-                    sender=message.sender,
-                    receiver=message.receiver,
-                    sweep=message.sweep,
-                )
-                tracer.count("protocol.retransmissions")
-        # Every circulation needs every agent: a suspected, unfinished
-        # rank with no restart on the schedule is a dead end no amount
-        # of retransmission can route around.
-        dead_ends = sorted(
-            {r for r in blocked if not schedule.pending_restart(r, step)}
-        )
-        if dead_ends:
-            raise RuntimeError(
-                f"agents {dead_ends} crashed with no scheduled restart; "
-                "the ring cannot recover"
-            )
-        if not progressed and not blocked:
-            raise RuntimeError(
-                "protocol deadlocked with nothing to retransmit"
-            )
-
-    online = board.online_mask
-    fractions = board.flows / system.arrival_rates[:, None]
-    profile = StrategyProfile(fractions)
-    norms = np.asarray(agents[0].norm_history, dtype=float)
-    converged = bool(norms.size and norms[-1] <= tolerance)
-    result = NashResult(
-        profile=profile,
-        converged=converged,
-        iterations=int(norms.size),
-        norm_history=norms,
-        user_times=system.user_response_times(profile.fractions),
+    bus = CrashyMessageBus(
+        system.n_users, drop=drop, duplicate=duplicate, seed=fault_seed
     )
-    if trace:
-        tracer.emit(
-            "protocol.done",
-            driver="resilient",
-            converged=converged,
-            sweeps=int(norms.size),
-            messages_sent=messages,
-            retransmissions=retransmissions,
-            crashes=crashes,
-            restarts=restarts,
-            suspicions=detector.suspicions,
-            messages_lost_to_crash=bus.lost_to_crash,
-            ring_reopens=ring_reopens,
-            steps=step,
-            degraded=bool(not online.all()),
-        )
+    supervisor = RingSupervisor(
+        system,
+        schedule,
+        checkpoint_interval=checkpoint_interval,
+        suspect_after=suspect_after,
+        max_sweeps=max_sweeps,
+        tracer=tracer,
+    )
+    run = _circulate(
+        system,
+        bus,
+        DedupingAgent,
+        driver="resilient",
+        start={
+            "tolerance": tolerance,
+            "max_sweeps": max_sweeps,
+            "drop": drop,
+            "duplicate": duplicate,
+            "checkpoint_interval": checkpoint_interval,
+            "suspect_after": suspect_after,
+            "scheduled_events": schedule.n_events,
+        },
+        init=init,
+        tracer=tracer,
+        supervisor=supervisor,
+        tolerance=tolerance,
+        max_sweeps=max_sweeps,
+    )
+    online = supervisor.board.online_mask
+    # The recovery counts both the done event and the outcome report.
+    recovery = {
+        "crashes": supervisor.crashes,
+        "restarts": supervisor.restarts,
+        "suspicions": supervisor.detector.suspicions,
+        "messages_lost_to_crash": bus.lost_to_crash,
+        "ring_reopens": supervisor.ring_reopens,
+        "steps": run.steps,
+        "degraded": bool(not online.all()),
+    }
+    result = _finish(system, run, tolerance, tracer, "resilient", **recovery)
     return ResilientOutcome(
         result=result,
-        messages_sent=messages,
+        messages_sent=run.messages,
         transcript=bus.transcript,
-        retransmissions=retransmissions,
-        crashes=crashes,
-        restarts=restarts,
-        checkpoint_restores=store.restores,
-        checkpoint_captures=store.captures,
-        suspicions=detector.suspicions,
-        messages_lost_to_crash=bus.lost_to_crash,
-        computers_failed=tuple(computers_failed),
-        computers_restored=tuple(computers_restored),
+        retransmissions=run.retransmissions,
+        checkpoint_restores=supervisor.store.restores,
+        checkpoint_captures=supervisor.store.captures,
+        computers_failed=tuple(supervisor.computers_failed),
+        computers_restored=tuple(supervisor.computers_restored),
         online_mask=tuple(bool(b) for b in online),
-        degraded=bool(not online.all()),
-        ring_reopens=ring_reopens,
-        steps=step,
-        events_applied=events_applied,
-        events_unapplied=schedule.n_events - events_applied,
+        events_applied=supervisor.events_applied,
+        events_unapplied=schedule.n_events - supervisor.events_applied,
+        **recovery,
     )

@@ -1,24 +1,20 @@
-"""Fault injection for the distributed protocol.
+"""The lossy network: drops, duplicates, and the lossy protocol driver.
 
 The in-process :class:`~repro.distributed.network.MessageBus` delivers
-every message exactly once — real networks do not.  This module provides
-a drop/duplicate-injecting bus plus the two mechanisms that make the
-paper's token-ring protocol survive it:
+every message exactly once — real networks do not.
+:class:`LossyMessageBus` drops and duplicates messages; it declares that
+it ``loses_messages``, so the ring loop of :mod:`repro.distributed.runtime`
+keeps each sender's last message and retransmits it whenever a step
+delivers nothing (at-least-once delivery).  :class:`DedupingAgent` makes
+that safe: TOKEN messages carry ``(sweep, sender)``, and an agent that
+already acted on a token ignores its copies.
 
-* **sender-side retransmission** — the runtime keeps each agent's last
-  outbound message (via the bus's outbox hook) and re-sends it when the
-  ring stalls (the in-process analogue of a retransmission timeout);
-* **receiver-side deduplication** — TOKEN messages carry ``(sweep,
-  sender)``; an agent that already acted on a given token ignores
-  duplicates, making the retransmission at-least-once semantics safe.
-
-Determinism is preserved: faults are driven by a seeded generator, so a
-given ``(seed, drop, duplicate)`` configuration replays exactly.  The
-fault-tolerance experiment shows the protocol reaches the *same*
-equilibrium as the lossless run, paying only extra messages.
-
-Crash faults (agents dying and restarting, computers going offline) are
-the next layer up: see :mod:`repro.distributed.chaos`.
+:func:`run_nash_protocol_lossy` is the ring loop over this bus with
+deduplicating agents.  Faults come from a seeded generator, so a given
+``(seed, drop, duplicate)`` configuration replays exactly; the protocol
+reaches the *same* equilibrium as the lossless run, paying only extra
+messages.  Crash faults are the next layer up:
+:mod:`repro.distributed.chaos`.
 """
 
 from __future__ import annotations
@@ -26,17 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.model import DistributedSystem
-from repro.core.nash import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_TOLERANCE,
-    Initialization,
-    NashResult,
-)
+from repro.core.nash import DEFAULT_MAX_SWEEPS, DEFAULT_TOLERANCE, Initialization
 from repro.core.strategy import StrategyProfile
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import MessageBus
-from repro.distributed.node import ComputerBoard, UserAgent
-from repro.distributed.runtime import ProtocolOutcome, seed_initial_state
+from repro.distributed.node import UserAgent
+from repro.distributed.runtime import ProtocolOutcome, _circulate, _finish
 from repro.telemetry.trace import Tracer, current_tracer
 
 __all__ = ["LossyMessageBus", "DedupingAgent", "run_nash_protocol_lossy"]
@@ -56,6 +47,8 @@ class LossyMessageBus(MessageBus):
     seed:
         Fault-stream seed (replayable).
     """
+
+    loses_messages = True
 
     def __init__(
         self,
@@ -135,122 +128,44 @@ def run_nash_protocol_lossy(
     every message over a :class:`LossyMessageBus`; when the ring stalls
     (every mailbox empty, protocol unfinished) the runtime retransmits
     the last message each unfinished agent sent — at-least-once delivery,
-    made safe by :class:`DedupingAgent`.  ``tracer`` additionally records
-    every delivery and retransmission (see docs/OBSERVABILITY.md).
+    made safe by :class:`DedupingAgent`.  A run that would need more than
+    ``max_retransmissions`` resends raises ``RuntimeError``.  ``tracer``
+    additionally records every delivery and retransmission (see
+    docs/OBSERVABILITY.md).
     """
     tracer = tracer if tracer is not None else current_tracer()
-    trace = tracer.enabled
-    m = system.n_users
-    board = ComputerBoard(system.service_rates, m)
     bus = LossyMessageBus(
-        m, drop=drop, duplicate=duplicate, seed=fault_seed
+        system.n_users, drop=drop, duplicate=duplicate, seed=fault_seed
     )
-    agents = [
-        DedupingAgent(
-            rank=j,
-            job_rate=float(system.arrival_rates[j]),
-            board=board,
-            bus=bus,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-            tracer=tracer,
-        )
-        for j in range(m)
-    ]
-
-    seed_initial_state(system, board, agents, init)
-    if trace:
-        tracer.emit(
-            "protocol.start",
-            driver="lossy",
-            users=m,
-            computers=system.n_computers,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-            drop=drop,
-            duplicate=duplicate,
-        )
-
-    # Track each agent's most recent outbound message for retransmission.
-    # The outbox hook fires before the lossy transport rolls the dice, so
-    # dropped messages are tracked too — the sender believes it sent.
-    last_sent: dict[int, Message] = {}
-    bus.add_outbox_hook(lambda message: last_sent.__setitem__(message.sender, message))
-
-    agents[0].start()
-    messages = 0
-    retransmissions = 0
-    while True:
-        pending = bus.pending_ranks()
-        if pending:
-            for rank in pending:
-                message = bus.recv(rank)
-                if trace:
-                    kind = message.kind.name.lower()
-                    tracer.emit(
-                        "protocol.deliver",
-                        kind=kind,
-                        sender=message.sender,
-                        receiver=message.receiver,
-                        sweep=message.sweep,
-                        norm=message.norm,
-                    )
-                    tracer.count(f"protocol.messages.{kind}")
-                agents[rank].handle(message)
-                messages += 1
-            continue
-        if all(agent.finished for agent in agents):
-            break
-        # Ring stalled: a message was dropped. Retransmit the most recent
-        # outbound message of every agent whose successor still needs it.
-        # (A finished receiver already has everything it will ever act
-        # on — retransmitting TERMINATE to it would only burn messages.)
-        if retransmissions >= max_retransmissions:
-            raise RuntimeError("retransmission budget exhausted")
-        progressed = False
-        for sender, message in sorted(last_sent.items()):
-            if not agents[message.receiver].finished:
-                bus.resend(message)
-                retransmissions += 1
-                progressed = True
-                if trace:
-                    tracer.emit(
-                        "protocol.retransmit",
-                        kind=message.kind.name.lower(),
-                        sender=message.sender,
-                        receiver=message.receiver,
-                        sweep=message.sweep,
-                    )
-                    tracer.count("protocol.retransmissions")
-        if not progressed:  # pragma: no cover - defensive
-            raise RuntimeError("protocol deadlocked with nothing to retransmit")
-
-    fractions = board.flows / system.arrival_rates[:, None]
-    profile = StrategyProfile(fractions)
-    norms = np.asarray(agents[0].norm_history, dtype=float)
-    converged = bool(norms.size and norms[-1] <= tolerance)
-    result = NashResult(
-        profile=profile,
-        converged=converged,
-        iterations=int(norms.size),
-        norm_history=norms,
-        user_times=system.user_response_times(profile.fractions),
+    run = _circulate(
+        system,
+        bus,
+        DedupingAgent,
+        driver="lossy",
+        start={
+            "tolerance": tolerance,
+            "max_sweeps": max_sweeps,
+            "drop": drop,
+            "duplicate": duplicate,
+        },
+        init=init,
+        tracer=tracer,
+        max_retransmissions=max_retransmissions,
+        tolerance=tolerance,
+        max_sweeps=max_sweeps,
     )
-    if trace:
-        tracer.emit(
-            "protocol.done",
-            driver="lossy",
-            converged=converged,
-            sweeps=int(norms.size),
-            messages_sent=messages,
-            retransmissions=retransmissions,
-            dropped=bus.dropped,
-            duplicated=bus.duplicated,
-        )
-    outcome = ProtocolOutcome(
+    result = _finish(
+        system,
+        run,
+        tolerance,
+        tracer,
+        "lossy",
+        dropped=bus.dropped,
+        duplicated=bus.duplicated,
+    )
+    return ProtocolOutcome(
         result=result,
-        messages_sent=messages,
+        messages_sent=run.messages,
         transcript=bus.transcript,
-        retransmissions=retransmissions,
+        retransmissions=run.retransmissions,
     )
-    return outcome

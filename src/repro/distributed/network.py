@@ -19,7 +19,8 @@ Two extension points support the fault-tolerance layers:
   which bypasses the hooks (a retry is not a new send).
 * **delivery override** (:meth:`MessageBus._deliver`) — fault-injecting
   buses subclass the delivery step (drop, duplicate, crash-drop) without
-  touching the send bookkeeping.
+  touching the send bookkeeping, and declare ``loses_messages`` so the
+  ring loop knows to retransmit.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ __all__ = ["MessageBus"]
 
 class MessageBus:
     """FIFO mailboxes for a fixed set of agents addressed by rank."""
+
+    #: Whether a sent message can vanish in transit.  The ring loop keeps
+    #: a retransmission log and heals stalls only on buses that set this.
+    loses_messages = False
 
     def __init__(self, n_agents: int, *, record_transcript: bool = True):
         if n_agents <= 0:

@@ -137,27 +137,40 @@ class UserAgent:
         self._tracer = tracer if tracer is not None else DISABLED
         self._next_rank = (rank + 1) % bus.n_agents
         self._previous_time = 0.0
-        #: Probes the *last* update spent; stays zero for full-information
-        #: agents, set per update by the sampled subclass so the token can
-        #: accumulate the circulation's poll cost next to its norm.
+        #: Probes the *last* update spent, and all probes spent so far;
+        #: both stay zero for full-information agents.  The sampled
+        #: subclass sets them per update so the token can accumulate the
+        #: circulation's poll cost next to its norm.
         self._last_update_polls = 0
+        self.polls = 0
         #: Set once the agent has forwarded or received TERMINATE.
         self.finished = False
         #: Sweep norms observed by the initiator (rank 0 only).
         self.norm_history: list[float] = []
+        #: Earliest sweep the initiator may terminate on.  A circulation
+        #: that began before a topology change carries a norm mixing pre-
+        #: and post-failure deltas, which proves nothing about the
+        #: degraded game; the resilient driver's supervisor raises this
+        #: past it.  Zero vetoes nothing.
+        self.min_termination_sweep = 0
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Initiator only: kick off the first sweep by updating itself."""
+    def start(self, sweep: int = 1) -> None:
+        """Initiator only: update itself and send the token for ``sweep``.
+
+        Sweep 1 kicks off the protocol; each completed circulation starts
+        the next one, and a supervisor restarts a reopened ring with the
+        sweep after the newest one any agent acted on.
+        """
         if self.rank != 0:
             raise RuntimeError("only rank 0 starts the protocol")
-        norm = self._update()
+        norm = self._update_delta()
         self._bus.send(
             Message(
                 kind=MessageKind.TOKEN,
                 sender=self.rank,
                 receiver=self._next_rank,
-                sweep=1,
+                sweep=sweep,
                 norm=norm,
                 polls=self._last_update_polls,
             )
@@ -168,7 +181,7 @@ class UserAgent:
         if self.finished:
             raise RuntimeError(f"agent {self.rank} received a message after exit")
         if message.kind is MessageKind.TERMINATE:
-            self._handle_terminate(message)
+            self._terminate(message.sweep)
         elif message.kind is MessageKind.TOKEN:
             self._handle_token(message)
         else:  # pragma: no cover - unreachable until MessageKind grows
@@ -176,8 +189,8 @@ class UserAgent:
                 f"agent {self.rank} has no dispatch for {message.kind!r}"
             )
 
-    def _handle_terminate(self, message: Message) -> None:
-        # Forward around the ring until it is back at the initiator.
+    def _terminate(self, sweep: int) -> None:
+        # Exit, forwarding TERMINATE until it is back at the initiator.
         self.finished = True
         if self._next_rank != 0:
             self._bus.send(
@@ -185,7 +198,7 @@ class UserAgent:
                     kind=MessageKind.TERMINATE,
                     sender=self.rank,
                     receiver=self._next_rank,
-                    sweep=message.sweep,
+                    sweep=sweep,
                 )
             )
 
@@ -205,28 +218,9 @@ class UserAgent:
                 )
             self._record_circulation(message)
             if self._should_terminate(message):
-                self.finished = True
-                if self._next_rank != 0:
-                    self._bus.send(
-                        Message(
-                            kind=MessageKind.TERMINATE,
-                            sender=self.rank,
-                            receiver=self._next_rank,
-                            sweep=message.sweep,
-                        )
-                    )
-                return
-            norm = self._update()
-            self._bus.send(
-                Message(
-                    kind=MessageKind.TOKEN,
-                    sender=self.rank,
-                    receiver=self._next_rank,
-                    sweep=message.sweep + 1,
-                    norm=norm,
-                    polls=self._last_update_polls,
-                )
-            )
+                self._terminate(message.sweep)
+            else:
+                self.start(message.sweep + 1)
         else:
             norm = message.norm + self._update_delta()
             self._bus.send(
@@ -249,16 +243,13 @@ class UserAgent:
         """
 
     def _should_terminate(self, message: Message) -> bool:
-        """Initiator's acceptance test on a completed circulation.
-
-        Extracted so resilient agents can harden it (e.g. refuse to
-        accept a norm measured partly before a topology change).
-        """
-        return message.norm <= self._tolerance or message.sweep >= self._max_sweeps
-
-    def _update(self) -> float:
-        """Initiator's update: returns the fresh norm for the new sweep."""
-        return self._update_delta()
+        """Initiator's acceptance test on a completed circulation."""
+        if message.sweep >= self._max_sweeps:
+            return True  # budget exhausted: stop even if vetoed
+        return (
+            message.norm <= self._tolerance
+            and message.sweep >= self.min_termination_sweep
+        )
 
     def _update_delta(self) -> float:
         """Observe, best-reply, publish; return ``|D_j new - D_j old|``."""

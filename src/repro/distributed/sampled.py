@@ -1,29 +1,26 @@
 """The NASH ring protocol under power-of-k sampled information.
 
-The full-information protocol (:mod:`repro.distributed.runtime`) has
-every agent observe all ``n`` computers before each best reply — an
-``O(m n)`` observation cost per sweep that dwarfs the ``O(m)`` token
-hops.  This driver runs the same ring with
-:class:`SampledUserAgent`\\ s, which poll only their current support
-(free — their own jobs measure those queues) plus ``k`` seeded random
-computers per update (:mod:`repro.core.sampled`), cutting the per-sweep
-observation cost to ``O(m k)``.
+Sampling is the ring loop's second information model, next to full
+observation.  A full-information agent observes all ``n`` computers
+before each best reply, an ``O(m n)`` cost per sweep that dwarfs the
+``O(m)`` token hops.  A :class:`SampledUserAgent` polls only its current
+support (free: its own jobs measure those queues) plus ``k`` seeded
+random computers (:mod:`repro.core.sampled`), ``O(m k)`` per sweep.
+:func:`run_sampled_nash_protocol` runs the ring loop of
+:mod:`repro.distributed.runtime` over the reliable bus with these agents.
 
-Poll accounting is a first-class protocol quantity: each update's probe
-count rides the token next to the norm (``Message.polls``), so the
-initiator reads the ring-wide poll cost of every circulation off the
-returning token and emits it as one ``protocol.sample`` event — the
-trace alone reconstructs the full message economics
-(``messages_sent = token/terminate hops + polls``).  With ``k >= n``
-every update honestly pays ``n`` polls: that run *is* the
+Each update's probe count rides the token next to the norm
+(``Message.polls``); the initiator emits every circulation's ring-wide
+poll cost as one ``protocol.sample`` event, so the trace alone
+reconstructs ``messages_sent = token/terminate hops + polls``.  With
+``k >= n`` every update pays ``n`` polls: that run *is* the
 full-information baseline the EXT11 message-reduction figures divide by.
 
-Determinism and parity: agent ``j``'s ``l``-th update draws
-``sample_indices(seed, l, j, n, k)`` — the same generator the sequential
-:class:`~repro.core.nash.NashSolver` uses for user ``j`` in sweep ``l``
-— so the ring computes the sequential sampled solver's iterates up to
-the usual board-summation round-off, and exactly the base protocol's
-when ``k >= n``.
+Agent ``j``'s ``l``-th update draws ``sample_indices(seed, l, j, n, k)``,
+the same sample the sequential :class:`~repro.core.nash.NashSolver` draws
+for user ``j`` in sweep ``l``, so the ring computes the sequential
+sampled solver's iterates up to board-summation round-off, and exactly
+the base protocol's when ``k >= n``.
 """
 
 from __future__ import annotations
@@ -35,12 +32,7 @@ import numpy as np
 from repro.core.best_response import optimal_fractions
 from repro.core.equilibrium import best_response_regrets
 from repro.core.model import DistributedSystem
-from repro.core.nash import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_TOLERANCE,
-    Initialization,
-    NashResult,
-)
+from repro.core.nash import DEFAULT_MAX_SWEEPS, DEFAULT_TOLERANCE, Initialization
 from repro.core.sampled import (
     SampleCertificate,
     reply_set,
@@ -50,8 +42,8 @@ from repro.core.sampled import (
 from repro.core.strategy import StrategyProfile
 from repro.distributed.messages import Message
 from repro.distributed.network import MessageBus
-from repro.distributed.node import ComputerBoard, UserAgent
-from repro.distributed.runtime import seed_initial_state
+from repro.distributed.node import UserAgent
+from repro.distributed.runtime import ProtocolOutcome, _circulate, _finish
 from repro.telemetry.trace import Tracer, current_tracer
 
 __all__ = [
@@ -71,28 +63,8 @@ class SampledUserAgent(UserAgent):
     rate, e.g. on a cold start from the all-zero profile.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        job_rate: float,
-        board: ComputerBoard,
-        bus: MessageBus,
-        *,
-        tolerance: float,
-        max_sweeps: int,
-        sample_k: int,
-        seed: int = 0,
-        tracer: Tracer | None = None,
-    ):
-        super().__init__(
-            rank,
-            job_rate,
-            board,
-            bus,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-            tracer=tracer,
-        )
+    def __init__(self, *args, sample_k: int, seed: int = 0, **kwargs):
+        super().__init__(*args, **kwargs)
         if sample_k < 1:
             raise ValueError("sample_k must be at least 1")
         self.sample_k = int(sample_k)
@@ -101,8 +73,6 @@ class SampledUserAgent(UserAgent):
         #: ring construction equals the sequential solver's sweep index
         #: for this user, so both draw identical samples.
         self._updates = 0
-        #: Total availability probes this agent has spent.
-        self.polls = 0
 
     def _update_delta(self) -> float:
         board = self._board
@@ -155,8 +125,8 @@ class SampledUserAgent(UserAgent):
             )
 
 
-@dataclass(frozen=True)
-class SampledProtocolOutcome:
+@dataclass(frozen=True, kw_only=True)
+class SampledProtocolOutcome(ProtocolOutcome):
     """A sampled protocol run: equilibrium result plus message economics.
 
     ``messages_sent`` is the honest total cost — bus messages (token
@@ -166,13 +136,10 @@ class SampledProtocolOutcome:
     every update pays ``n`` polls.
     """
 
-    result: NashResult
-    messages_sent: int
     bus_messages: int
     polls: int
     sample_k: int
     epsilon: float
-    transcript: tuple[Message, ...]
 
 
 def run_sampled_nash_protocol(
@@ -198,108 +165,42 @@ def run_sampled_nash_protocol(
     global epsilon of the final profile against exact full-information
     best responses.
     """
-    if sample_k < 1:
-        raise ValueError("sample_k must be at least 1")
     tracer = tracer if tracer is not None else current_tracer()
-    trace = tracer.enabled
-    m, n = system.n_users, system.n_computers
-    board = ComputerBoard(system.service_rates, m)
-    bus = MessageBus(m, record_transcript=record_transcript)
-    agents = [
-        SampledUserAgent(
-            rank=j,
-            job_rate=float(system.arrival_rates[j]),
-            board=board,
-            bus=bus,
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-            sample_k=sample_k,
-            seed=seed,
-            tracer=tracer,
-        )
-        for j in range(m)
-    ]
-
-    seed_initial_state(system, board, agents, init)
-    if trace:
-        tracer.emit(
-            "protocol.start",
-            driver="sampled",
-            users=m,
-            computers=n,
-            k=min(sample_k, n),
-            tolerance=tolerance,
-            max_sweeps=max_sweeps,
-        )
-
-    agents[0].start()
-    bus_messages = 0
-    while True:
-        pending = bus.pending_ranks()
-        if not pending:
-            break
-        for rank in pending:
-            message = bus.recv(rank)
-            if trace:
-                kind = message.kind.name.lower()
-                tracer.emit(
-                    "protocol.deliver",
-                    kind=kind,
-                    sender=message.sender,
-                    receiver=message.receiver,
-                    sweep=message.sweep,
-                    norm=message.norm,
-                )
-                tracer.count(f"protocol.messages.{kind}")
-            agents[rank].handle(message)
-            bus_messages += 1
-
-    if not all(agent.finished for agent in agents):  # pragma: no cover
-        raise RuntimeError("protocol stalled before termination circulated")
-
-    polls = sum(agent.polls for agent in agents)
-    fractions = board.flows / system.arrival_rates[:, None]
-    profile = StrategyProfile(fractions)
-    norms = np.asarray(agents[0].norm_history, dtype=float)
-    converged = bool(norms.size and norms[-1] <= tolerance)
+    k = min(sample_k, system.n_computers)
+    bus = MessageBus(system.n_users, record_transcript=record_transcript)
+    run = _circulate(
+        system,
+        bus,
+        SampledUserAgent,
+        driver="sampled",
+        start={"k": k, "tolerance": tolerance, "max_sweeps": max_sweeps},
+        init=init,
+        tracer=tracer,
+        tolerance=tolerance,
+        max_sweeps=max_sweeps,
+        sample_k=sample_k,
+        seed=seed,
+    )
     try:
-        epsilon = float(best_response_regrets(system, profile).epsilon)
-        user_times = system.user_response_times(profile.fractions)
-    except ValueError:
+        epsilon = float(best_response_regrets(system, run.profile).epsilon)
+    except ValueError:  # the final profile overloads a computer
         epsilon = float("inf")
-        user_times = np.full(m, np.inf)
-        converged = False
+    norms = run.norms
     certificate = SampleCertificate(
-        k=min(sample_k, n),
-        n_computers=n,
+        k=k,
+        n_computers=system.n_computers,
         sweeps=int(norms.size),
-        polls=polls,
+        polls=run.polls,
         sampled_norm=float(norms[-1]) if norms.size else 0.0,
         epsilon=epsilon,
     )
-    result = NashResult(
-        profile=profile,
-        converged=converged,
-        iterations=int(norms.size),
-        norm_history=norms,
-        user_times=user_times,
-        sample=certificate,
-    )
-    if trace:
-        tracer.emit(
-            "protocol.done",
-            driver="sampled",
-            converged=converged,
-            sweeps=int(norms.size),
-            messages_sent=bus_messages + polls,
-            retransmissions=0,
-        )
+    result = _finish(system, run, tolerance, tracer, "sampled", certificate)
     return SampledProtocolOutcome(
         result=result,
-        messages_sent=bus_messages + polls,
-        bus_messages=bus_messages,
-        polls=polls,
-        sample_k=min(sample_k, n),
-        epsilon=epsilon,
+        messages_sent=run.messages + run.polls,
         transcript=bus.transcript,
+        bus_messages=run.messages,
+        polls=run.polls,
+        sample_k=k,
+        epsilon=epsilon,
     )

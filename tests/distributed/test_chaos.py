@@ -166,13 +166,13 @@ class TestExponentialBackoff:
 class TestCheckpointStore:
     def test_capture_restore_round_trip(self, system):
         # Run the reliable protocol halfway by hand to get real agents.
-        from repro.distributed.chaos import ResilientAgent
+        from repro.distributed.faults import DedupingAgent
         from repro.distributed.node import ComputerBoard
 
         board = ComputerBoard(system.service_rates, system.n_users)
         bus = CrashyMessageBus(system.n_users)
         agents = [
-            ResilientAgent(
+            DedupingAgent(
                 rank=j,
                 job_rate=float(system.arrival_rates[j]),
                 board=board,
@@ -204,12 +204,12 @@ class TestCheckpointStore:
         assert store.captures == 1 and store.restores == 1
 
     def test_stale_generation_clears_termination_flags(self, system):
-        from repro.distributed.chaos import ResilientAgent
+        from repro.distributed.faults import DedupingAgent
         from repro.distributed.node import ComputerBoard
 
         board = ComputerBoard(system.service_rates, system.n_users)
         bus = CrashyMessageBus(system.n_users)
-        agent = ResilientAgent(
+        agent = DedupingAgent(
             rank=1,
             job_rate=float(system.arrival_rates[1]),
             board=board,

@@ -132,10 +132,19 @@ class TestLossyProtocol:
             a.result.profile.fractions, b.result.profile.fractions
         )
 
-    def test_retransmission_budget_enforced(self, system):
+    @pytest.mark.parametrize(
+        "drop, fault_seed",
+        [
+            pytest.param(0.5, 7, id="many-stalls"),
+            # Regression: the budget was checked once per stall, and this
+            # run's single stall then resent to all four receivers.
+            pytest.param(0.01, 0, id="one-stall"),
+        ],
+    )
+    def test_retransmission_budget_enforced(self, system, drop, fault_seed):
         with pytest.raises(RuntimeError, match="budget"):
             run_nash_protocol_lossy(
-                system, drop=0.5, fault_seed=7, max_retransmissions=1
+                system, drop=drop, fault_seed=fault_seed, max_retransmissions=1
             )
 
 
@@ -192,11 +201,23 @@ class TestMessageAccounting:
         outcome = run_nash_protocol_lossy(system, drop=0.0, duplicate=0.0)
         assert outcome.retransmissions == 0
 
-    def test_counters_reconcile_with_transcript(self, system):
+    @pytest.mark.parametrize(
+        "drop, duplicate, fault_seed",
+        [
+            pytest.param(0.3, 0.2, 11, id="drops"),
+            # One duplicate is still queued when the last agent finishes:
+            # the run must deliver it before stopping.
+            pytest.param(0.0, 0.5, 0, id="queued-duplicate"),
+        ],
+    )
+    def test_counters_reconcile_with_transcript(
+        self, system, drop, duplicate, fault_seed
+    ):
         outcome = run_nash_protocol_lossy(
-            system, drop=0.3, duplicate=0.2, fault_seed=11
+            system, drop=drop, duplicate=duplicate, fault_seed=fault_seed
         )
-        assert outcome.retransmissions > 0
+        # Only a lost message stalls the ring and triggers retransmission.
+        assert (outcome.retransmissions > 0) == (drop > 0)
         # Every transcript entry was a successful delivery, and every
         # delivery was handled: the handled count equals the transcript.
         assert outcome.messages_sent == len(outcome.transcript)
