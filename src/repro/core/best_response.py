@@ -27,9 +27,9 @@ from repro.core.model import DistributedSystem
 from repro.core.strategy import StrategyProfile
 from repro.core.waterfill import (
     InfeasibleDemand,
-    WaterfillResult,
-    sqrt_waterfill,
+    _validate_inputs,
     sqrt_waterfill_batch,
+    sqrt_waterfill_inplace,
 )
 from repro.queueing.mm1 import expected_response_time as mm1_response_time
 
@@ -79,6 +79,8 @@ def optimal_fractions(available_rates, job_rate: float) -> BestResponse:
         ``phi_j`` — the user's total job arrival rate; must be strictly
         below ``sum(max(a_i, 0))``.
 
+    Validates, then runs :func:`~repro.core.waterfill.sqrt_waterfill_inplace`.
+
     Returns
     -------
     BestResponse
@@ -90,18 +92,16 @@ def optimal_fractions(available_rates, job_rate: float) -> BestResponse:
         If ``job_rate`` is not strictly below the total positive available
         rate; the exception names both the demand and the capacity.
     """
-    a = np.asarray(available_rates, dtype=float)
     if job_rate <= 0.0:
         raise ValueError("job rate must be strictly positive")
-    fill: WaterfillResult = sqrt_waterfill(a, job_rate)
-    fractions = fill.loads / job_rate
-    times = mm1_response_time(fill.loads[fill.support], a[fill.support])
-    d_j = float(fractions[fill.support] @ times)
+    a = _validate_inputs(available_rates, job_rate)
+    flows = np.empty_like(a)
+    d_j, t, support = sqrt_waterfill_inplace(a, float(job_rate), flows)
     return BestResponse(
-        fractions=fractions,
+        fractions=flows / job_rate,
         expected_response_time=d_j,
-        support=fill.support,
-        threshold=fill.threshold,
+        support=np.sort(support),
+        threshold=t,
     )
 
 

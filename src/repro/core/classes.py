@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Literal
 import numpy as np
 
 from repro._typing import FloatArray
-from repro.core.best_response import optimal_fractions, optimal_fractions_batch
+from repro.core.best_response import optimal_fractions_batch
 from repro.core.model import DistributedSystem
 from repro.core.sampled import (
     SampleCertificate,
@@ -67,7 +67,7 @@ from repro.core.sampled import (
     widen_reply_set,
 )
 from repro.core.strategy import StrategyProfile
-from repro.core.waterfill import InfeasibleDemand
+from repro.core.waterfill import InfeasibleDemand, sqrt_waterfill_inplace
 from repro.queueing.mm1 import expected_response_time
 from repro.telemetry.trace import Tracer, current_tracer
 
@@ -520,7 +520,6 @@ def _fused_class_reply_inplace(
     own: FloatArray,
     lam: FloatArray,
     avail: FloatArray,
-    thr: FloatArray,
 ) -> float:
     """One class's equilibrium reply with in-place aggregate bookkeeping.
 
@@ -528,22 +527,17 @@ def _fused_class_reply_inplace(
     matrix and ``lam`` the running aggregate ``sum_k flows_k``; both are
     updated in place (``lam += new_own - old_own``, the rank-1 delta that
     makes a sweep ``O(c n log n)``), so ``mu - lam + own`` are the
-    class's foreign-free rates.  ``avail``/``thr`` are preallocated
-    ``(n,)`` scratch buffers.  ``demand`` is the class's true member-rate
-    sum (``ClassAggregation.demands[k]``, *not* re-derived as
-    ``rate * count`` — see :func:`aggregate_users`).  Returns the
-    member's new expected response time.
+    class's foreign-free rates.  ``avail`` is a preallocated ``(n,)``
+    scratch buffer.  ``demand`` is the class's true member-rate sum
+    (``ClassAggregation.demands[k]``, *not* re-derived as ``rate *
+    count`` — see :func:`aggregate_users`).  Returns the member's new
+    expected response time.
 
     A singleton class (every user of a :class:`~repro.core.nash.NashSolver`
-    solve) takes the Theorem 2.1 water-fill — the arithmetic of
-    :func:`repro.core.waterfill.sqrt_waterfill` with the per-call
-    overhead (validation, dataclasses, defensive branches) stripped.
-    Whenever some computer has no headroom left — possible only from an
-    infeasible initialization such as a uniform split on a strongly
-    heterogeneous system — it falls back to the defensive scalar solver,
-    which handles unavailable computers.  A multi-member class lands on
-    its symmetric intra-class equilibrium via
-    :func:`_symmetric_class_fill`.
+    solve) takes the Theorem 2.1 water-fill,
+    :func:`~repro.core.waterfill.sqrt_waterfill_inplace`, which writes
+    its flows straight into ``own``.  A multi-member class lands on its
+    symmetric intra-class equilibrium via :func:`_symmetric_class_fill`.
     """
     np.subtract(mu, lam, out=avail)
     avail += own
@@ -553,42 +547,8 @@ def _fused_class_reply_inplace(
         own[:] = y
         lam += own
         return d
-
-    if np.any(avail <= 0.0):
-        # Defensive path: unavailable computers present.
-        reply = optimal_fractions(avail, demand)
-        lam -= own
-        np.multiply(reply.fractions, demand, out=own)
-        lam += own
-        return float(reply.expected_response_time)
-
-    order = np.argsort(-avail, kind="stable")
-    a_sorted = avail[order]
-    roots = np.sqrt(a_sorted)
-    cum_a = np.cumsum(a_sorted)
-    cum_r = np.cumsum(roots)
-    if demand >= cum_a[-1]:
-        raise InfeasibleDemand(demand, float(cum_a[-1]))
-
-    # Threshold for every candidate support prefix, largest valid prefix.
-    np.subtract(cum_a, demand, out=thr)
-    thr /= cum_r
-    valid = roots > thr
-    cut = a_sorted.size - int(valid[::-1].argmax())
-
-    t = thr[cut - 1]
-    x = a_sorted[:cut] - t * roots[:cut]
-    np.maximum(x, 0.0, out=x)
-    x *= demand / x.sum()
-    # D = sum_i s_i / (a_i - x_i) = (1/phi) sum_i x_i / (a_i - x_i);
-    # stability a_i - x_i > 0 holds by construction of the support
-    # (x_i < a_i on it), so the inline form is safe here.
-    gap = a_sorted[:cut] - x
-    d = float((x / gap).sum()) / demand  # reprolint: allow=R003 hot path; gap > 0 by the water-fill support
-
     lam -= own
-    own[:] = 0.0
-    own[order[:cut]] = x
+    d, _, _ = sqrt_waterfill_inplace(avail, demand, own)
     lam += own
     return d
 
@@ -914,7 +874,6 @@ class ClassNashSolver:
         # aggregate, updated with a rank-1 delta per reply.
         flows = fractions * demands[:, None]
         avail = np.empty(n)
-        thr = np.empty(n)
 
         norms: list[float] = []
         history: list[FloatArray] = []
@@ -991,7 +950,7 @@ class ClassNashSolver:
                         flows[k] = y
                     else:
                         d = _fused_class_reply_inplace(
-                            mu, counts[k], demand_list[k], flows[k], lam, avail, thr
+                            mu, counts[k], demand_list[k], flows[k], lam, avail
                         )
                     delta = abs(d - last_times[k])
                     norm += counts[k] * delta

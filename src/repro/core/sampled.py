@@ -49,11 +49,8 @@ import numpy as np
 import numpy.typing as npt
 
 from repro._typing import FloatArray
-from repro.core.best_response import (
-    optimal_fractions,
-    optimal_fractions_batch,
-)
-from repro.core.waterfill import InfeasibleDemand
+from repro.core.best_response import optimal_fractions_batch
+from repro.core.waterfill import InfeasibleDemand, sqrt_waterfill_inplace
 
 __all__ = [
     "SampleCertificate",
@@ -186,8 +183,8 @@ def sampled_best_reply(
     ``mu - lam + own`` over **all** computers; only the entries inside
     the reply set are consulted, which is exactly the information the
     player has (free feedback on its support, ``k`` paid probes).  The
-    water-fill itself is the unmodified OPTIMAL algorithm
-    (:func:`~repro.core.best_response.optimal_fractions`) on the
+    water-fill itself is the unmodified OPTIMAL kernel
+    (:func:`~repro.core.waterfill.sqrt_waterfill_inplace`) on the
     restricted rate vector, so with ``k >= n`` this *is* the exact best
     response.
     """
@@ -199,12 +196,13 @@ def sampled_best_reply(
         chosen, available, job_rate, seed=seed, sweep=sweep, index=index
     )
     polls += extra
-    reply = optimal_fractions(available[chosen], job_rate)
+    chosen_flows = np.empty(chosen.size)
+    d, _, _ = sqrt_waterfill_inplace(available[chosen], job_rate, chosen_flows)
     flows = np.zeros(n)
-    flows[chosen] = reply.fractions * job_rate
+    flows[chosen] = chosen_flows
     return SampledReply(
         flows=flows,
-        expected_response_time=float(reply.expected_response_time),
+        expected_response_time=d,
         reply_set=chosen,
         polls=polls,
     )

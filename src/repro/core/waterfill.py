@@ -22,6 +22,10 @@ the threshold for every candidate support prefix is computed with
 cumulative sums and the valid prefix selected with a mask, with no Python
 loop over computers.
 
+Every scalar sqrt fill, best replies included, runs one unvalidated
+kernel, :func:`sqrt_waterfill_inplace`; :func:`sqrt_waterfill` is its
+validating front end.
+
 For many-user workloads :func:`sqrt_waterfill_batch` solves ``m``
 independent sqrt fills at once on an ``(m, n)`` matrix of available rates
 with axis-wise ``argsort``/``cumsum`` — no Python loop over users — which
@@ -34,6 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
+
+from repro._typing import FloatArray
 
 __all__ = [
     "InfeasibleDemand",
@@ -41,6 +48,7 @@ __all__ = [
     "BatchWaterfillResult",
     "sqrt_waterfill",
     "sqrt_waterfill_batch",
+    "sqrt_waterfill_inplace",
     "response_time_waterfill",
 ]
 
@@ -108,13 +116,70 @@ def _validate_inputs(capacities, demand: float) -> np.ndarray:
     return a
 
 
+def sqrt_waterfill_inplace(
+    available: FloatArray, demand: float, out: FloatArray
+) -> tuple[float, float, npt.NDArray[np.intp]]:
+    """Theorem 2.1's water-fill of ``demand`` over ``available``, into ``out``.
+
+    The one scalar kernel behind every best reply.  ``out`` receives the
+    optimal flows ``x``, zero off the support; returns ``(D, t,
+    support)``: the expected response time ``D = (1/demand) sum_i x_i /
+    (a_i - x_i)``, the threshold ``t`` and the support's indices in
+    descending-rate order.  It trusts its caller (finite 1-D
+    ``available``, ``demand > 0``).  Computers with nonpositive rate
+    sort to the tail of the stable descending order and are cut off
+    there.  Raises :class:`InfeasibleDemand`, leaving ``out`` untouched,
+    if ``demand`` is not strictly below the total positive rate.
+    """
+    # add.accumulate/add.reduce/argsort skip the Python-level dispatch of
+    # np.cumsum/np.sum/np.argsort (same results, bit for bit).
+    order = np.negative(available).argsort(kind="stable")
+    a_sorted = available[order]
+    if a_sorted[-1] <= 0.0:
+        usable = int(np.count_nonzero(a_sorted > 0.0))
+        if usable == 0:
+            raise InfeasibleDemand(demand, 0.0)
+        order = order[:usable]
+        a_sorted = a_sorted[:usable]
+    roots = np.sqrt(a_sorted)
+    cum_a = np.add.accumulate(a_sorted)
+    if demand >= cum_a[-1]:
+        raise InfeasibleDemand(demand, float(cum_a[-1]))
+
+    # Threshold t_c for every candidate support {1..c}:
+    #   t_c = (sum_{i<=c} a_i - demand) / (sum_{i<=c} sqrt(a_i)).
+    # The optimal support is the largest prefix in which the slowest
+    # included computer still gets a positive share, sqrt(a_c) > t_c
+    # (the paper's OPTIMAL while-loop, scanned from below).  c = 1 is
+    # always valid: t_1 = (a_1 - d)/sqrt(a_1) < sqrt(a_1).
+    thresholds = cum_a - demand
+    thresholds /= np.add.accumulate(roots)
+    valid = roots > thresholds
+    cut = a_sorted.size - int(valid[::-1].argmax())
+
+    t = thresholds[cut - 1]
+    a_support = a_sorted[:cut]
+    x = roots[:cut] * t
+    np.subtract(a_support, x, out=x)
+    # Guard against tiny negative round-off on the boundary computer,
+    # then rescale so the flows meet the demand exactly.
+    np.maximum(x, 0.0, out=x)
+    x *= demand / np.add.reduce(x)
+    gap = a_support - x
+    d = float(np.add.reduce(x / gap)) / demand  # reprolint: allow=R003 hot path; gap > 0 by the water-fill support
+    support = order[:cut]
+    out.fill(0.0)
+    out[support] = x
+    return d, float(t), support
+
+
 def sqrt_waterfill(capacities, demand: float) -> WaterfillResult:
     """Delay-minimizing allocation of ``demand`` over parallel M/M/1 servers.
 
     Solves ``min sum_i x_i / (a_i - x_i)  s.t.  sum_i x_i = demand,
     x_i >= 0`` where ``a_i`` are the (available) processing rates.  This is
     the optimization problem OPT_j of the paper, whose solution structure
-    is Theorem 2.1.
+    is Theorem 2.1: validates, then runs :func:`sqrt_waterfill_inplace`.
 
     Computers with nonpositive capacity are treated as unavailable (they
     can legitimately occur transiently if a caller constructs available
@@ -131,41 +196,7 @@ def sqrt_waterfill(capacities, demand: float) -> WaterfillResult:
     if demand == 0.0:  # reprolint: allow=R002 exact-sentinel
         return WaterfillResult(loads=loads, threshold=float("inf"),
                                support=np.array([], dtype=np.intp))
-
-    usable = a > 0.0
-    if demand >= a[usable].sum():
-        raise InfeasibleDemand(demand, float(a[usable].sum()))
-
-    # Work on the usable computers, sorted by capacity descending.
-    idx = np.flatnonzero(usable)
-    order = idx[np.argsort(-a[idx], kind="stable")]
-    a_sorted = a[order]
-    roots = np.sqrt(a_sorted)
-
-    # Threshold t_c for every candidate support {1..c}:
-    #   t_c = (sum_{i<=c} a_i - demand) / (sum_{i<=c} sqrt(a_i)).
-    cum_a = np.cumsum(a_sorted)
-    cum_root = np.cumsum(roots)
-    thresholds = (cum_a - demand) / cum_root
-
-    # The optimal support is the largest prefix in which the slowest
-    # included computer still gets a positive share: sqrt(a_c) > t_c.
-    # (Equivalently: the paper's OPTIMAL while-loop, which shrinks the
-    # candidate set while t * sqrt(a_c) >= a_c, scanned from below.)
-    valid = roots > thresholds
-    if not valid[0]:
-        # Cannot happen for demand > 0: with c = 1,
-        # t_1 = (a_1 - d)/sqrt(a_1) < sqrt(a_1).
-        raise AssertionError("sqrt water-fill: no valid support prefix")
-    cut = int(np.flatnonzero(valid).max()) + 1
-
-    t = float(thresholds[cut - 1])
-    support = order[:cut]
-    loads[support] = a[support] - t * np.sqrt(a[support])
-    # Guard against tiny negative round-off on the boundary computer.
-    np.maximum(loads, 0.0, out=loads)
-    scale = demand / loads.sum()
-    loads *= scale
+    _, t, support = sqrt_waterfill_inplace(a, float(demand), loads)
     return WaterfillResult(loads=loads, threshold=t, support=np.sort(support))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.best_response import optimal_fractions
+from repro.core.waterfill import sqrt_waterfill_inplace
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import MessageBus
 from repro.telemetry.trace import DISABLED, Tracer
@@ -254,8 +254,9 @@ class UserAgent:
     def _update_delta(self) -> float:
         """Observe, best-reply, publish; return ``|D_j new - D_j old|``."""
         available = self._board.available_rates(self.rank)
-        reply = optimal_fractions(available, self.job_rate)
-        self._board.publish(self.rank, reply.fractions * self.job_rate)
-        delta = abs(reply.expected_response_time - self._previous_time)
-        self._previous_time = reply.expected_response_time
+        flows = np.empty_like(available)
+        reply_time, _, _ = sqrt_waterfill_inplace(available, self.job_rate, flows)
+        self._board.publish(self.rank, flows)
+        delta = abs(reply_time - self._previous_time)
+        self._previous_time = reply_time
         return delta

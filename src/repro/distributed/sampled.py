@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.best_response import optimal_fractions
 from repro.core.equilibrium import best_response_regrets
 from repro.core.model import DistributedSystem
 from repro.core.nash import DEFAULT_MAX_SWEEPS, DEFAULT_TOLERANCE, Initialization
@@ -40,6 +39,7 @@ from repro.core.sampled import (
     widen_reply_set,
 )
 from repro.core.strategy import StrategyProfile
+from repro.core.waterfill import sqrt_waterfill_inplace
 from repro.distributed.messages import Message
 from repro.distributed.network import MessageBus
 from repro.distributed.node import UserAgent
@@ -97,17 +97,18 @@ class SampledUserAgent(UserAgent):
             )
             polls += extra
             observed = available[chosen]
-        reply = optimal_fractions(observed, self.job_rate)
+        chosen_flows = np.empty_like(observed)
+        reply_time, _, _ = sqrt_waterfill_inplace(observed, self.job_rate, chosen_flows)
         flows = np.zeros(n)
-        flows[chosen] = reply.fractions * self.job_rate
+        flows[chosen] = chosen_flows
         board.publish(self.rank, flows)
         self._updates += 1
         self.polls += polls
         self._last_update_polls = polls
         if self._tracer.enabled:
             self._tracer.count("protocol.messages.probe", polls)
-        delta = abs(reply.expected_response_time - self._previous_time)
-        self._previous_time = reply.expected_response_time
+        delta = abs(reply_time - self._previous_time)
+        self._previous_time = reply_time
         return delta
 
     def _record_circulation(self, message: Message) -> None:

@@ -1,4 +1,4 @@
-"""KKT oracle for the best-reply kernels of the sweep engine.
+"""KKT oracle for every best-reply path.
 
 A player with job rate ``phi`` facing available rates ``a`` (service
 rate minus everyone else's flow) picks flows ``x`` minimising
@@ -16,20 +16,29 @@ hold:
 A class of ``count`` symmetric members splits its total flow ``y``
 evenly, so each member faces ``a = m - (count - 1) / count * y`` and
 plays ``x = y / count``: the same conditions certify the symmetric
-intra-class fill.  The kernels are checked against these conditions
-directly, not against a sibling implementation.
+intra-class fill.  Every path is checked against these conditions
+directly, not against a sibling implementation: the scalar kernel
+``sqrt_waterfill_inplace``, its validating front ends ``sqrt_waterfill``
+and ``optimal_fractions``, the sweep engine's fused reply, the sampled
+reply with a full sample, a ring agent's update and the symmetric class
+fill.
 """
 
 from __future__ import annotations
 
-from unittest import mock
+from typing import Callable
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import classes
+from repro.core.best_response import optimal_fractions
 from repro.core.classes import _fused_class_reply_inplace, _symmetric_class_fill
+from repro.core.sampled import sampled_best_reply
+from repro.core.waterfill import sqrt_waterfill, sqrt_waterfill_inplace
+from repro.distributed.network import MessageBus
+from repro.distributed.node import ComputerBoard, UserAgent
 from repro.queueing.mm1 import expected_response_time
 
 #: Rounding in a gap ``m_i - y_i`` next to a rate ``m_i`` is relative
@@ -84,8 +93,9 @@ def reply_cases(draw: st.DrawFn) -> tuple[np.ndarray, float]:
     """(available rates, demand) at the edges where float code breaks.
 
     Rates span a ratio of up to 10^6, may tie (drawn from a small pool),
-    and may include zero-headroom computers; the demand ranges from tiny
-    against capacity up to utilization ``1 - 1e-9``.
+    and may include computers with zero or negative headroom (an
+    overloaded start); the demand ranges from tiny against capacity up to
+    utilization ``1 - 1e-9``.
     """
     n = draw(st.integers(1, 10))
     spread = draw(st.sampled_from([1.0, 10.0, 1e3, 1e6]))
@@ -98,7 +108,7 @@ def reply_cases(draw: st.DrawFn) -> tuple[np.ndarray, float]:
     if n > 1:
         mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
         if not all(mask):
-            rates[np.array(mask)] = 0.0
+            rates[np.array(mask)] = draw(st.sampled_from([0.0, -1e-9, -1.0, -spread]))
     utilization = draw(
         st.sampled_from([1e-9, 0.5, 0.99, 1.0 - 1e-9]) | st.floats(0.01, 0.99)
     )
@@ -113,45 +123,110 @@ def fused_reply(available: np.ndarray, demand: float) -> tuple[np.ndarray, np.nd
     where ``available`` is zero).
     """
     n = available.size
-    foreign = np.linspace(0.5, 2.0, n) * max(float(available.max()), 1.0)
+    foreign = np.linspace(0.5, 2.0, n) * max(float(np.abs(available).max()), 1.0)
     mu = available + foreign
     lam = foreign.copy()
     own = np.zeros(n)
     avail = np.empty(n)
-    thr = np.empty(n)
-    d = _fused_class_reply_inplace(mu, 1.0, demand, own, lam, avail, thr)
+    d = _fused_class_reply_inplace(mu, 1.0, demand, own, lam, avail)
     np.testing.assert_allclose(lam, foreign + own, rtol=1e-12)
     return avail, own, d
 
 
-class TestFusedReply:
-    @given(reply_cases())
-    @settings(max_examples=300, deadline=None)
-    @example((np.array([7.0]), 7.0 * (1.0 - 1e-9)))
-    @example((np.array([3.0, 3.0, 3.0]), 4.0))
-    @example((np.array([1.0, 1e6, 0.0]), 0.5 * (1.0 + 1e6)))
-    def test_satisfies_kkt(self, case):
+def kernel_reply(available: np.ndarray, demand: float) -> tuple[np.ndarray, np.ndarray, float]:
+    flows = np.full(available.size, np.nan)  # every entry must be written
+    d, t, support = sqrt_waterfill_inplace(available, demand, flows)
+    assert np.all(flows[np.setdiff1d(np.arange(available.size), support)] == 0.0)
+    # x_i = a_i - t sqrt(a_i) before the conservation rescale.
+    np.testing.assert_allclose(
+        flows[support], available[support] - t * np.sqrt(available[support]),
+        rtol=1e-6, atol=1e-9 * demand,
+    )
+    return available, flows, d
+
+
+def optimal_fractions_reply(available, demand):
+    reply = optimal_fractions(available, demand)
+    flows = reply.fractions * demand
+    assert np.isin(np.flatnonzero(reply.fractions > 0.0), reply.support).all()
+    return available, flows, reply.expected_response_time
+
+
+def sqrt_waterfill_reply(available, demand):
+    loads = sqrt_waterfill(available, demand).loads
+    return available, loads, member_time(available, loads, demand)
+
+
+def sampled_full_reply(available, demand):
+    n = available.size
+    reply = sampled_best_reply(
+        available, np.zeros(n), demand, seed=0, sweep=0, index=0, k=n
+    )
+    assert reply.polls == n
+    return available, reply.flows, reply.expected_response_time
+
+
+def agent_reply(available, demand):
+    """One ``UserAgent`` update on a board with an offline computer.
+
+    Rank 1's published flows leave ``available`` free for rank 0 on the
+    first ``n`` computers (``mu = |a| + 1``); computer ``n`` is offline
+    and, were it online, the fastest and emptiest of all.
+    """
+    n = available.size
+    mu = np.abs(available) + 1.0
+    board = ComputerBoard(np.append(mu, 1e7), n_users=2)
+    board.publish(1, np.append(mu - available, 0.0))
+    board.set_computer_online(n, False)
+    observed = board.available_rates(0)
+    assert observed[n] == 0.0
+    agent = UserAgent(0, demand, board, MessageBus(2), tolerance=1e-9, max_sweeps=10)
+    agent.start()
+    flows = board.flows[0]
+    assert flows[n] == 0.0
+    return observed, flows, member_time(observed, flows, demand)
+
+
+ReplyPath = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray, float]]
+REPLY_PATHS: dict[str, ReplyPath] = {
+    "kernel": kernel_reply,
+    "fused": fused_reply,
+    "optimal_fractions": optimal_fractions_reply,
+    "sqrt_waterfill": sqrt_waterfill_reply,
+    "sampled_k_ge_n": sampled_full_reply,
+    "agent_offline": agent_reply,
+}
+
+
+class TestScalarReplies:
+    @pytest.mark.parametrize("path", sorted(REPLY_PATHS))
+    @given(case=reply_cases())
+    @settings(max_examples=150, deadline=None)
+    @example(case=(np.array([7.0]), 7.0 * (1.0 - 1e-9)))
+    @example(case=(np.array([3.0, 3.0, 3.0]), 4.0))
+    @example(case=(np.array([1.0, 1e6, 0.0]), 0.5 * (1.0 + 1e6)))
+    @example(case=(np.array([4.0, 0.0, -2.0, 1.0]), 2.5))
+    def test_satisfies_kkt(self, path, case):
         available, demand = case
-        avail, flows, d = fused_reply(available, demand)
+        avail, flows, d = REPLY_PATHS[path](available, demand)
         rtol = assert_kkt(avail, flows, demand)
+        assert np.all(flows[avail <= 0.0] == 0.0)
         assert abs(d - member_time(avail, flows, demand)) <= rtol * d
 
-    def test_zero_headroom_takes_defensive_path(self):
-        available = np.array([4.0, 0.0, 1.0])
-        with mock.patch.object(
-            classes, "optimal_fractions", wraps=classes.optimal_fractions
-        ) as fallback:
-            avail, flows, _ = fused_reply(available, 2.5)
-        assert fallback.call_count == 1
-        assert flows[1] == 0.0
-        assert_kkt(avail, flows, 2.5)
-
-    def test_full_headroom_stays_on_the_fused_path(self):
-        with mock.patch.object(
-            classes, "optimal_fractions", wraps=classes.optimal_fractions
-        ) as fallback:
-            fused_reply(np.array([4.0, 2.0, 1.0]), 2.5)
-        assert fallback.call_count == 0
+    def test_overloaded_start_routes_around_computers_without_headroom(self):
+        # The class-space view of a cold start: the others already load
+        # computer 1 to capacity and overload computer 2, so the player's
+        # foreign-free rates mu - lam + own are 0 and negative there.
+        mu = np.array([6.0, 2.0, 2.0, 3.0])
+        own = np.array([1.0, 0.5, 0.5, 0.0])
+        lam = own + np.array([3.0, 2.0, 4.0, 2.0])
+        avail = np.empty(4)
+        d = _fused_class_reply_inplace(mu, 1.0, 2.5, own, lam, avail)
+        np.testing.assert_array_equal(avail, [3.0, 0.0, -2.0, 1.0])
+        assert own[1] == 0.0 and own[2] == 0.0
+        assert_kkt(avail, own, 2.5)
+        assert d == pytest.approx(member_time(avail, own, 2.5), rel=1e-12)
+        np.testing.assert_allclose(lam, own + [3.0, 2.0, 4.0, 2.0], rtol=1e-15)
 
 
 class TestSymmetricFill:

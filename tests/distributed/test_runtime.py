@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.equilibrium import is_nash_equilibrium
-from repro.core.nash import compute_nash_equilibrium
+from repro.core.nash import NashSolver, compute_nash_equilibrium
 from repro.core.strategy import StrategyProfile
 from repro.distributed.chaos import (
     FaultEvent,
@@ -14,9 +14,32 @@ from repro.distributed.chaos import (
     FaultSchedule,
     run_nash_protocol_resilient,
 )
+from repro.distributed.faults import run_nash_protocol_lossy
 from repro.distributed.messages import MessageKind
 from repro.distributed.runtime import run_nash_protocol
+from repro.distributed.sampled import run_sampled_nash_protocol
 from repro.workloads.configs import paper_table1_system
+
+#: Ring drivers against the sequential solver they must reproduce:
+#: ``(label, protocol(system), NashSolver keyword arguments)``.
+_RING_CASES = [
+    ("reliable", run_nash_protocol, {}),
+    (
+        "lossy",
+        lambda system: run_nash_protocol_lossy(system, drop=0.1, duplicate=0.05),
+        {},
+    ),
+] + [
+    (
+        f"sampled-k{k}-s{seed}",
+        lambda system, k=k, seed=seed: run_sampled_nash_protocol(
+            system, sample_k=k, seed=seed
+        ),
+        {"sample_k": k, "seed": seed},
+    )
+    for k in (1, 3, 16)
+    for seed in (0, 7)
+]
 
 
 class TestProtocolEquivalence:
@@ -35,6 +58,27 @@ class TestProtocolEquivalence:
             protocol.result.norm_history,
             sequential.norm_history,
             atol=1e-10,
+        )
+
+    @pytest.mark.parametrize("n_users", [6, 9, 12])
+    @pytest.mark.parametrize("utilization", [0.5, 0.8])
+    @pytest.mark.parametrize(
+        "protocol, solver_args",
+        [case[1:] for case in _RING_CASES],
+        ids=[case[0] for case in _RING_CASES],
+    )
+    def test_ring_matches_sequential_solver(
+        self, n_users, utilization, protocol, solver_args
+    ):
+        system = paper_table1_system(utilization=utilization, n_users=n_users)
+        sequential = NashSolver(**solver_args).solve(system)
+        outcome = protocol(system)
+        assert outcome.result.iterations == sequential.iterations
+        np.testing.assert_allclose(
+            outcome.result.profile.fractions,
+            sequential.profile.fractions,
+            atol=1e-10,
+            rtol=0.0,
         )
 
     def test_result_is_equilibrium(self, table1_small):
