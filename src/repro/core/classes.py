@@ -40,7 +40,10 @@ tests pin this against ``aggregate_users`` of sorted-rate systems).
 
 The sweep *norm* is user-weighted (``sum_k count_k |D_k^{(l)} -
 D_k^{(l-1)}|``) so ``tolerance`` means the same thing it means for the
-per-user solver on the expanded system.
+per-user solver on the expanded system.  That norm can stall long after
+the profile is certified, so an exact solve with a multi-member class is
+also ``converged`` once the certificate is within ``tolerance`` (checked
+after sweeps 1, 2, 4, 8, ...), whatever its ``final_norm``.
 
 See docs/PERFORMANCE.md ("Class-space solving") for when aggregation
 wins and measured numbers; :mod:`repro.core.sharding` builds the
@@ -425,6 +428,14 @@ def class_best_response_regrets(
     )
 
 
+def _epsilon(aggregation: ClassAggregation, class_fractions: FloatArray) -> float:
+    """The certificate's epsilon; ``inf`` for an unstable (Jacobi) profile."""
+    try:
+        return class_best_response_regrets(aggregation, class_fractions).epsilon
+    except ValueError:
+        return float("inf")
+
+
 # ----------------------------------------------------------------------
 # The class-space best-reply solver
 # ----------------------------------------------------------------------
@@ -658,6 +669,8 @@ class ClassNashResult:
     member of class ``k`` plays row ``k`` (call :meth:`expand` to
     materialize the per-user matrix — O(m·n) memory).  ``norm_history``
     is user-weighted, comparable with the per-user solver's.
+    ``converged`` also covers a certificate stop (see
+    :class:`ClassNashSolver`), whose ``final_norm`` can be large.
     """
 
     class_fractions: FloatArray
@@ -686,6 +699,11 @@ class ClassNashSolver:
     (tolerance on the user-weighted sweep norm, sweep budget, update
     order, seed for the ``"random"`` order), whose solves run on this
     class's sweep engine with every user a singleton class.
+
+    A solve stops when the sweep norm reaches ``tolerance``; one with a
+    multi-member class that is not sampling also stops once the
+    certificate (:func:`class_best_response_regrets`) does, checked
+    after sweeps 1, 2, 4, 8, ...  This only truncates the iterates.
 
     ``sample_k`` switches to power-of-k sampled class replies
     (:mod:`repro.core.sampled`): each class best-responds over its
@@ -797,19 +815,22 @@ class ClassNashSolver:
             converged = False
         sample: SampleCertificate | None = None
         if self.sample_k is not None:
-            try:
-                epsilon = float(
-                    class_best_response_regrets(aggregation, final).epsilon
-                )
-            except ValueError:
-                epsilon = float("inf")
+            epsilon = _epsilon(aggregation, final)
             sample = certify_sample(run, self.sample_k, n, epsilon, tracer)
         if trace:
+            # The certificate is checked only where the norm rule failed.
+            if not run.converged:
+                stopped_by = "budget"
+            elif run.final_norm <= self.tolerance:
+                stopped_by = "norm"
+            else:
+                stopped_by = "certificate"
             tracer.emit(
                 "solver.class_done",
                 converged=converged,
                 iterations=len(run.norms),
                 final_norm=run.final_norm,
+                stopped_by=stopped_by,
             )
         return ClassNashResult(
             class_fractions=final,
@@ -855,6 +876,11 @@ class ClassNashSolver:
         # parity) and only the certificate accounting differs.
         sample_k = 0 if self.sample_k is None else self.sample_k
         sampling = 0 < sample_k < n
+        # Multi-member classes trade load along directions that barely
+        # move anyone's cost, so the norm stalls long after the
+        # certificate holds.  Singleton (NashSolver) and sampled solves
+        # never check it: a sampled player lacks the information.
+        certify = not singleton and not sampling
         seed = self.seed
         polls = 0
 
@@ -964,6 +990,12 @@ class ClassNashSolver:
             if norm <= self.tolerance:
                 converged = True
                 break
+            done = len(norms)
+            if certify and done & (done - 1) == 0:  # sweeps 1, 2, 4, 8, ...
+                epsilon = _epsilon(aggregation, flows / demands[:, None])
+                if epsilon <= self.tolerance:
+                    converged = True
+                    break
 
         if self.sample_k is not None and not sampling:
             # Full-information bypass: every reply observed all n

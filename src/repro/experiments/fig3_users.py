@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.classes import ClassNashSolver, aggregate_users
 from repro.core.continuation import SweepPredictor
 from repro.core.model import DistributedSystem
 from repro.core.nash import Initialization, NashResult, NashSolver
@@ -31,29 +30,6 @@ def _solve_point(
     solver = NashSolver(tolerance=tolerance, max_sweeps=max_sweeps)
     zero = solver.solve(system, "zero")
     prop = solver.solve(system, "proportional")
-    if not (zero.converged and prop.converged):
-        raise RuntimeError(f"best-reply iteration did not converge for m={m}")
-    return {
-        "users": m,
-        "iterations_nash_0": zero.iterations,
-        "iterations_nash_p": prop.iterations,
-        "saving": 1.0 - prop.iterations / zero.iterations,
-    }
-
-
-def _solve_point_aggregate(
-    point: tuple[int, DistributedSystem, float, int],
-) -> dict[str, object]:
-    # Class-space variant of _solve_point (top-level for pickling): the
-    # sweep's identical-phi users collapse into one weighted class, so
-    # population sizes far beyond the per-user path's memory wall run in
-    # (c, n) state.  The user-weighted sweep norm makes the iteration
-    # columns directly comparable with the per-user rows.
-    m, system, tolerance, max_sweeps = point
-    aggregation = aggregate_users(system)
-    solver = ClassNashSolver(tolerance=tolerance, max_sweeps=max_sweeps)
-    zero = solver.solve(aggregation, "zero")
-    prop = solver.solve(aggregation, "proportional")
     if not (zero.converged and prop.converged):
         raise RuntimeError(f"best-reply iteration did not converge for m={m}")
     return {
@@ -119,7 +95,6 @@ def run(
     max_sweeps: int = 2000,
     n_workers: int = 1,
     continuation: bool = False,
-    aggregate: bool = False,
 ) -> ExperimentTable:
     """Iterations to convergence per user count, for both initializations.
 
@@ -128,10 +103,6 @@ def run(
     previous one's equilibrium — note this *changes the meaning* of the
     iteration columns (continuation cost, not the paper's cold-start
     cost), which is why the figure defaults to cold starts.
-    ``aggregate=True`` solves each point in user-class space
-    (:mod:`repro.core.classes`) — identical iteration semantics on the
-    figure's sizes, and the only way to extend the sweep to ``m`` in the
-    millions, where the per-user ``(m, n)`` profile no longer fits.
     """
     points = [
         (m, system, tolerance, max_sweeps)
@@ -142,23 +113,13 @@ def run(
             raise ValueError(
                 "continuation sweeps are sequential; use n_workers=1"
             )
-        if aggregate:
-            raise ValueError(
-                "continuation and aggregate modes are mutually exclusive"
-            )
         rows = _run_continuation(points)
     else:
-        solve = _solve_point_aggregate if aggregate else _solve_point
-        rows = parallel_map(solve, points, n_workers=n_workers)
+        rows = parallel_map(_solve_point, points, n_workers=n_workers)
     notes = [
         f"Table-1 computers, utilization {utilization:.0%}, "
         f"tolerance {tolerance:g}",
     ]
-    if aggregate:
-        notes.append(
-            "aggregate mode: points solved in user-class space "
-            "(identical-rate users share one weighted class)"
-        )
     if continuation:
         notes.append(
             "continuation mode: points after the first are warm-started "

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import classes
 from repro.core.classes import (
     ClassAggregation,
     ClassNashSolver,
@@ -325,6 +326,93 @@ class TestMultiMemberClasses:
             assert d > 0.0
 
 
+def _class_structured_system(
+    n_users: int, n_computers: int, n_classes: int, utilization: float, seed: int
+) -> DistributedSystem:
+    """``n_users`` users drawn from ``n_classes`` distinct job rates."""
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(50.0, 150.0, size=n_computers)
+    rates = rng.uniform(0.5, 2.0, size=n_classes)
+    phi = rates[np.arange(n_users) % n_classes]
+    phi = phi * (utilization * mu.sum() / phi.sum())
+    return DistributedSystem(service_rates=mu, arrival_rates=phi)
+
+
+class TestCertificateStop:
+    """Multi-member exact solves also stop on the epsilon-Nash certificate."""
+
+    @pytest.fixture
+    def fat_classes(self) -> ClassAggregation:
+        # Without the certificate stop this solve runs the whole 500-sweep
+        # budget: its norm stalls around 1e-5 while epsilon stays < 1e-6.
+        return aggregate_users(_class_structured_system(10_000, 64, 8, 0.9, 42))
+
+    def test_stops_early_on_the_certificate(self, fat_classes):
+        solver = ClassNashSolver()
+        result = solver.solve(fat_classes)
+        assert result.converged
+        assert result.iterations <= 2
+        assert result.final_norm > solver.tolerance  # not the norm rule
+        certificate = class_best_response_regrets(
+            fat_classes, result.class_fractions
+        )
+        assert certificate.epsilon <= solver.tolerance
+
+    def test_only_truncates_the_budget_run(self, fat_classes, monkeypatch):
+        solver = ClassNashSolver(max_sweeps=500, record_history=True)
+        early = solver.solve(fat_classes)
+
+        def unstable(aggregation, class_fractions):
+            raise ValueError("class profile violates per-computer stability")
+
+        # A ValueError counts as "not certified", so the run falls back to
+        # the norm rule and spends the budget.
+        monkeypatch.setattr(classes, "class_best_response_regrets", unstable)
+        full = solver.solve(fat_classes)
+        assert not full.converged
+        assert full.iterations == 500
+
+        np.testing.assert_array_equal(
+            early.class_fractions, full.history[early.iterations - 1]
+        )
+        np.testing.assert_array_equal(
+            early.norm_history, full.norm_history[: early.iterations]
+        )
+        for row, full_row in zip(early.history, full.history):
+            np.testing.assert_array_equal(row, full_row)
+
+    @pytest.mark.parametrize("case", ["per_user", "distinct_rates", "sampled"])
+    def test_never_checked_where_it_must_not_be(
+        self, case, fat_classes, monkeypatch
+    ):
+        calls: list[int] = []
+        real = classes.class_best_response_regrets
+
+        def spy(aggregation, class_fractions):
+            calls.append(1)
+            return real(aggregation, class_fractions)
+
+        monkeypatch.setattr(classes, "class_best_response_regrets", spy)
+        fat = fat_classes
+        # Positive control: the spy sees the check of an exact fat solve.
+        ClassNashSolver().run_sweeps(fat, fat.proportional_fractions())
+        assert calls
+        calls.clear()
+
+        distinct = random_system(np.random.default_rng(3), n_computers=5, n_users=9)
+        if case == "per_user":
+            NashSolver().solve(distinct)
+        elif case == "distinct_rates":
+            agg = aggregate_users(distinct)
+            assert (agg.counts == 1).all()
+            ClassNashSolver().run_sweeps(agg, agg.proportional_fractions())
+        else:
+            ClassNashSolver(sample_k=2).run_sweeps(
+                fat, fat.proportional_fractions()
+            )
+        assert calls == []
+
+
 class TestSolverConfig:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -357,6 +445,29 @@ class TestTracing:
         names = [event.name for event in events]
         assert names.count("solver.class_start") == 1
         assert names.count("solver.class_done") == 1
+
+    @pytest.mark.parametrize(
+        ("case", "stopped_by"),
+        [("distinct", "norm"), ("fat", "certificate"), ("short", "budget")],
+    )
+    def test_done_event_says_why_the_solve_stopped(self, case, stopped_by):
+        from repro.telemetry.sinks import InMemorySink
+        from repro.telemetry.trace import Tracer
+
+        if case == "fat":
+            system = _class_structured_system(10_000, 64, 8, 0.9, 42)
+        else:
+            system = random_system(
+                np.random.default_rng(3), n_computers=5, n_users=9
+            )
+        max_sweeps = 1 if case == "short" else 500
+        sink = InMemorySink()
+        result = ClassNashSolver(max_sweeps=max_sweeps).solve(
+            aggregate_users(system), tracer=Tracer(sink)
+        )
+        (done,) = [e for e in sink.events if e.name == "solver.class_done"]
+        assert done.fields["stopped_by"] == stopped_by
+        assert done.fields["converged"] == result.converged
 
     def test_class_summary_rollup(self, tmp_path):
         from repro.telemetry.analysis import class_summary

@@ -20,8 +20,9 @@ intra-class fill.  Every path is checked against these conditions
 directly, not against a sibling implementation: the scalar kernel
 ``sqrt_waterfill_inplace``, its validating front ends ``sqrt_waterfill``
 and ``optimal_fractions``, the sweep engine's fused reply, the sampled
-reply with a full sample, a ring agent's update and the symmetric class
-fill.
+reply with a full sample, a ring agent's update, the symmetric class
+fill and, row by row, the batch kernels ``optimal_fractions_batch`` and
+``sampled_best_reply_batch`` (with a full sample).
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.best_response import optimal_fractions
+from repro.core.best_response import optimal_fractions, optimal_fractions_batch
 from repro.core.classes import _fused_class_reply_inplace, _symmetric_class_fill
-from repro.core.sampled import sampled_best_reply
+from repro.core.sampled import sampled_best_reply, sampled_best_reply_batch
 from repro.core.waterfill import sqrt_waterfill, sqrt_waterfill_inplace
 from repro.distributed.network import MessageBus
 from repro.distributed.node import ComputerBoard, UserAgent
@@ -89,15 +90,16 @@ def member_time(available: np.ndarray, flows: np.ndarray, demand: float) -> floa
 
 
 @st.composite
-def reply_cases(draw: st.DrawFn) -> tuple[np.ndarray, float]:
+def reply_cases(draw: st.DrawFn, n: int | None = None) -> tuple[np.ndarray, float]:
     """(available rates, demand) at the edges where float code breaks.
 
-    Rates span a ratio of up to 10^6, may tie (drawn from a small pool),
-    and may include computers with zero or negative headroom (an
-    overloaded start); the demand ranges from tiny against capacity up to
-    utilization ``1 - 1e-9``.
+    Rates over ``n`` computers (drawn when not given) span a ratio of up
+    to 10^6, may tie (drawn from a small pool), and may include computers
+    with zero or negative headroom (an overloaded start); the demand
+    ranges from tiny against capacity up to utilization ``1 - 1e-9``.
     """
-    n = draw(st.integers(1, 10))
+    if n is None:
+        n = draw(st.integers(1, 10))
     spread = draw(st.sampled_from([1.0, 10.0, 1e3, 1e6]))
     if draw(st.booleans()):
         pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
@@ -113,6 +115,16 @@ def reply_cases(draw: st.DrawFn) -> tuple[np.ndarray, float]:
         st.sampled_from([1e-9, 0.5, 0.99, 1.0 - 1e-9]) | st.floats(0.01, 0.99)
     )
     return rates, utilization * float(rates[rates > 0.0].sum())
+
+
+@st.composite
+def reply_stacks(draw: st.DrawFn) -> tuple[np.ndarray, np.ndarray]:
+    """1-4 :func:`reply_cases` rows over one fleet, stacked for a batch call."""
+    rates, demand = draw(reply_cases())
+    rows = [(rates, demand)] + [
+        draw(reply_cases(n=rates.size)) for _ in range(draw(st.integers(0, 3)))
+    ]
+    return np.stack([r for r, _ in rows]), np.array([d for _, d in rows])
 
 
 def fused_reply(available: np.ndarray, demand: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -227,6 +239,42 @@ class TestScalarReplies:
         assert_kkt(avail, own, 2.5)
         assert d == pytest.approx(member_time(avail, own, 2.5), rel=1e-12)
         np.testing.assert_allclose(lam, own + [3.0, 2.0, 4.0, 2.0], rtol=1e-15)
+
+
+def optimal_fractions_batch_reply(available, demands):
+    replies = optimal_fractions_batch(available, demands)
+    return replies.fractions * demands[:, None], replies.expected_response_times
+
+
+def sampled_batch_reply(available, demands):
+    rows, n = available.shape
+    batch = sampled_best_reply_batch(
+        available, np.zeros_like(available), demands, seed=0, sweep=0, k=n
+    )
+    assert batch.polls == rows * n
+    return batch.flows, batch.expected_response_times
+
+
+BatchPath = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+BATCH_PATHS: dict[str, BatchPath] = {
+    "optimal_fractions_batch": optimal_fractions_batch_reply,
+    "sampled_batch_k_ge_n": sampled_batch_reply,
+}
+
+
+class TestBatchReplies:
+    @pytest.mark.parametrize("path", sorted(BATCH_PATHS))
+    @given(stack=reply_stacks())
+    @settings(max_examples=300, deadline=None)
+    @example(stack=(np.array([[7.0], [3.0]]), np.array([7.0 * (1.0 - 1e-9), 1.5])))
+    @example(stack=(np.array([[1.0, 1e6, 0.0], [4.0, -2.0, 1.0]]), np.array([0.5e6, 2.5])))
+    def test_every_row_satisfies_kkt(self, path, stack):
+        available, demands = stack
+        flows, times = BATCH_PATHS[path](available, demands)
+        for avail, row, demand, d in zip(available, flows, demands, times):
+            rtol = assert_kkt(avail, row, demand)
+            assert np.all(row[avail <= 0.0] == 0.0)
+            assert abs(d - member_time(avail, row, demand)) <= rtol * d
 
 
 class TestSymmetricFill:
