@@ -20,8 +20,8 @@ fails when
   (power-of-k) ring protocol's per-sweep message reduction against the
   full-information baseline, and ``--min-shm-speedup`` (default 2x)
   for the zero-copy data plane's coordinator-serialization-bytes
-  reduction on the sharded m=1e6 solve (a deterministic byte ratio,
-  not a timing — exact on any machine).
+  reduction on the fanned-out scheme sweep (a deterministic byte
+  ratio, not a timing — exact on any machine).
 
 Usage::
 

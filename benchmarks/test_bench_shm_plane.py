@@ -3,27 +3,21 @@
 The plane (:mod:`repro.experiments.shm`) publishes the coordinator's
 big read-only arrays into ``multiprocessing.shared_memory`` once and
 ships workers picklable :class:`~repro.experiments.shm.ArrayRef`
-handles instead of array bytes.  This group measures it both ways:
+handles instead of array bytes.  This group measures it both ways on
+the scheme-evaluation sweep, fanned out point-per-task:
 
-* ``test_bench_plane_sharded_m1e6_pickled`` /
-  ``..._shmplane`` — the headline pair: one fixed-budget block-Jacobi
-  round of the sharded class-space NASH solve at ``m = 1_000_000``
-  users (256 classes) over ``n = 1024`` computers, dispatched over the
-  process pool with the class matrices pickled per shard versus
-  published once to the plane.
-* ``test_bench_plane_fanout_pickled`` / ``..._shmplane`` — a
-  scheme-evaluation sweep fanned out point-per-task with the per-point
-  rate vectors pickled versus shared.  The proportional scheme keeps
-  the per-point compute in microseconds, so the pair isolates dispatch
-  cost — exactly what the plane removes.
+* ``test_bench_plane_fanout_pickled`` / ``..._shmplane`` — the sweep
+  with the per-point rate vectors pickled versus shared.  The
+  proportional scheme keeps the per-point compute in microseconds, so
+  the pair isolates dispatch cost — exactly what the plane removes.
 * ``test_bench_plane_coordinator_bytes`` — the deterministic gate
-  metric: the coordinator-side serialization bytes of the sharded
-  round, measured by pickling every task payload on both paths.  The
-  recorded ``shm_plane_bytes_reduction`` ratio is gated in CI at
-  >= 2x via ``benchmarks/bench_gate.py --min-shm-speedup`` (measured
-  ~100x; bytes are machine-independent, so the floor is exact where
-  wall-clock speedups on shared CI machines are noisy).  The same
-  measurement pins bit-identity of the two paths at headline scale.
+  metric: the coordinator-side serialization bytes of the same sweep,
+  measured by pickling every task payload on both paths.  The recorded
+  ``shm_plane_bytes_reduction`` ratio is gated in CI at >= 2x via
+  ``benchmarks/bench_gate.py --min-shm-speedup`` (bytes are
+  machine-independent, so the floor is exact where wall-clock speedups
+  on shared CI machines are noisy).  The same measurement pins
+  bit-identity of the two paths.
 
 See the "Zero-copy data plane" section of docs/PERFORMANCE.md.
 """
@@ -35,10 +29,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import sharding
-from repro.core.classes import aggregate_users
-from repro.core.model import DistributedSystem
-from repro.core.sharding import solve_sharded
+from repro.experiments import common
 from repro.experiments.common import run_schemes_sweep
 from repro.experiments.shm import clear_worker_cache, shm_available
 from repro.schemes.proportional import ProportionalScheme
@@ -50,66 +41,10 @@ pytestmark = pytest.mark.skipif(
     not shm_available(), reason="no POSIX shared memory on this platform"
 )
 
-#: Headline sharded geometry (matches the class-scale million bench).
-USERS = 1_000_000
-COMPUTERS = 1024
-CLASSES = 256
-SHARDS = 4
-#: Fixed budget, identical on both payload paths: the pair measures
-#: dispatch cost, not convergence luck.
-SHARD_SWEEPS = 4
-
 #: Fan-out sweep geometry: 32768 users puts the per-point arrival-rate
 #: vector (256 KiB) well above the plane's 32 KiB sharing threshold.
 SWEEP_USERS = 32_768
 SWEEP_RHOS = (0.4, 0.5, 0.6, 0.7)
-
-
-def _million_user_system(seed: int = 42) -> DistributedSystem:
-    rng = np.random.default_rng(seed)
-    mu = rng.uniform(50.0, 150.0, size=COMPUTERS)
-    rates = rng.uniform(0.5, 2.0, size=CLASSES)
-    phi = rates[np.arange(USERS) % CLASSES]
-    phi = phi * (0.6 * mu.sum() / phi.sum())
-    return DistributedSystem(service_rates=mu, arrival_rates=phi)
-
-
-@pytest.fixture(scope="module")
-def million_aggregation():
-    return aggregate_users(_million_user_system())
-
-
-def _solve_one_round(aggregation, *, use_shm: bool):
-    return solve_sharded(
-        aggregation,
-        n_shards=SHARDS,
-        tolerance=1e-12,
-        max_rounds=1,
-        shard_max_sweeps=SHARD_SWEEPS,
-        reconcile_sweeps=1,
-        n_workers=2,
-        use_shm=use_shm,
-    )
-
-
-@shm_plane
-def test_bench_plane_sharded_m1e6_pickled(benchmark, million_aggregation):
-    result = benchmark.pedantic(
-        lambda: _solve_one_round(million_aggregation, use_shm=False),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.rounds == 1  # budget exhausted, not converged
-
-
-@shm_plane
-def test_bench_plane_sharded_m1e6_shmplane(benchmark, million_aggregation):
-    result = benchmark.pedantic(
-        lambda: _solve_one_round(million_aggregation, use_shm=True),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.rounds == 1
 
 
 def _sweep_once(points, *, use_shm: bool):
@@ -165,18 +100,16 @@ class _MeteredMap:
 
 @shm_plane
 def test_bench_plane_coordinator_bytes(
-    benchmark, million_aggregation, monkeypatch, record_speedup
+    benchmark, sweep_point_list, monkeypatch, record_speedup
 ):
     def measure():
         meters = {}
         results = {}
         for label, use_shm in (("pickled", False), ("shmplane", True)):
             meter = _MeteredMap()
-            monkeypatch.setattr(sharding, "parallel_map", meter)
+            monkeypatch.setattr(common, "parallel_map", meter)
             try:
-                results[label] = _solve_one_round(
-                    million_aggregation, use_shm=use_shm
-                )
+                results[label] = _sweep_once(sweep_point_list, use_shm=use_shm)
             finally:
                 monkeypatch.undo()
                 clear_worker_cache()
@@ -184,12 +117,18 @@ def test_bench_plane_coordinator_bytes(
         return meters, results
 
     meters, results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    # Both dispatch paths produce the same equilibrium iterate, bit for
-    # bit, at headline scale.
-    np.testing.assert_array_equal(
-        results["pickled"].class_fractions,
-        results["shmplane"].class_fractions,
-    )
+    # Both dispatch paths evaluate the same allocations, bit for bit.
+    for (rho, pickled), (rho_shm, shared) in zip(
+        results["pickled"], results["shmplane"]
+    ):
+        assert rho == rho_shm
+        for name, result in pickled.items():
+            np.testing.assert_array_equal(
+                result.profile.fractions, shared[name].profile.fractions
+            )
+            np.testing.assert_array_equal(
+                result.user_times, shared[name].user_times
+            )
     reduction = meters["pickled"] / meters["shmplane"]
     record_speedup("shm_plane_bytes_reduction", reduction)
     assert reduction >= 2.0

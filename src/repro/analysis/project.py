@@ -1,7 +1,7 @@
 """Project-wide dataflow facts: symbols, function summaries, call graph.
 
-PR 2's rules were per-file pattern matchers; the invariants the sharded
-solving plan leans on (pool purity, RNG provenance, kernel aliasing,
+PR 2's rules were per-file pattern matchers; the invariants the process
+pool leans on (pool purity, RNG provenance, kernel aliasing,
 typed-error flow, telemetry vocabulary) are properties of *paths through
 the call graph*, not of single files.  This module is the engine that
 makes those checkable:

@@ -1,11 +1,11 @@
 """R006 — pool purity: submitted callables are module-level and pure.
 
-The process-pool layer (:mod:`repro.experiments.parallel`) and the
-ROADMAP's sharded-solving plan both assume that every work unit crossing
-a process boundary is (a) picklable — a module-level function, not a
-lambda, closure or nested def — and (b) free of module-global writes,
-because a global written in a worker is silently *not* the coordinator's
-global (fork) or lost entirely (spawn).  Both hazards look like they
+The process-pool layer (:mod:`repro.experiments.parallel`) assumes
+that every work unit crossing a process boundary is (a) picklable — a
+module-level function, not a lambda, closure or nested def — and (b)
+free of module-global writes, because a global written in a worker is
+silently *not* the coordinator's global (fork) or lost entirely
+(spawn).  Both hazards look like they
 work in small serial tests and corrupt results only at scale.
 
 The rule resolves every callable handed to ``parallel_map`` /

@@ -8,8 +8,8 @@ resource tracker's "leaked shared_memory" warning in the best case, a
 full ``/dev/shm`` in the worst).
 
 The supported way to publish arrays is
-:class:`repro.experiments.shm.SharedArrayPlane`, which refcounts blocks
-and guarantees cleanup via its context manager plus an atexit sweep.
+:class:`repro.experiments.shm.SharedArrayPlane`, which dedups blocks by
+content and guarantees cleanup via its context manager plus an atexit sweep.
 That module is therefore exempt here — it *is* the owner this rule
 demands.  Anywhere else, a direct ``SharedMemory(...)`` call must be
 

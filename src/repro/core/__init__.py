@@ -58,11 +58,6 @@ from repro.core.sampled import (
     sampled_best_reply,
     sampled_best_reply_batch,
 )
-from repro.core.sharding import (
-    ShardedNashResult,
-    partition_classes,
-    solve_sharded,
-)
 from repro.core.strategy import FEASIBILITY_ATOL, StrategyProfile
 from repro.core.uncertainty import NoisyNashResult, NoisyNashSolver
 from repro.core.waterfill import (
@@ -81,9 +76,6 @@ __all__ = [
     "ClassNashSolver",
     "aggregate_users",
     "class_best_response_regrets",
-    "ShardedNashResult",
-    "partition_classes",
-    "solve_sharded",
     "DelayedGame",
     "DelayedNashResult",
     "DelayedNashSolver",

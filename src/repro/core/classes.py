@@ -46,8 +46,7 @@ also ``converged`` once the certificate is within ``tolerance`` (checked
 after sweeps 1, 2, 4, 8, ...), whatever its ``final_norm``.
 
 See docs/PERFORMANCE.md ("Class-space solving") for when aggregation
-wins and measured numbers; :mod:`repro.core.sharding` builds the
-two-level sharded scheme on top of this module.
+wins and measured numbers.
 """
 
 from __future__ import annotations
@@ -120,7 +119,8 @@ class ClassAggregation:
         push boundary systems over the feasibility check.
     class_of:
         Per-user class index, length ``m`` (``None`` for synthetic
-        aggregations such as shard subproblems, which never expand).
+        aggregations such as the per-user solver's singleton classes,
+        which never expand).
     member_rates:
         The original per-user job rates, length ``m`` (``None`` for
         synthetic aggregations).

@@ -272,8 +272,6 @@ def run_schemes_sweep(
     schemes: Sequence[LoadBalancingScheme] | None = None,
     *,
     n_workers: int = 1,
-    chunksize: int | None = None,
-    context: str | None = None,
     use_shm: bool | None = None,
     continuation: bool = False,
 ) -> list[tuple[Any, dict[str, SchemeResult]]]:
@@ -300,9 +298,7 @@ def run_schemes_sweep(
     re-publishes the same ``mu`` once) and workers rebuild the systems
     from read-only views, with per-worker construction memoization.
     ``None`` (default) engages the plane exactly when the sweep fans out
-    over a pool; results are bit-identical either way.  ``context`` pins
-    the pool's start method (see
-    :func:`repro.experiments.parallel.parallel_map`).
+    over a pool; results are bit-identical either way.
 
     Each solved point is recorded on the ambient telemetry tracer as a
     ``sweep.point`` event (``repro-trace summary`` shows the roll-up).
@@ -343,8 +339,6 @@ def run_schemes_sweep(
                     _solve_sweep_point_shm,
                     shm_work,
                     n_workers=n_workers,
-                    chunksize=chunksize,
-                    context=context,
                 )
         else:
             work = [
@@ -354,8 +348,6 @@ def run_schemes_sweep(
                 _solve_sweep_point,
                 work,
                 n_workers=n_workers,
-                chunksize=chunksize,
-                context=context,
             )
     _emit_sweep_telemetry(sweep, continuation=continuation)
     return sweep

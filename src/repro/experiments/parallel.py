@@ -22,7 +22,6 @@ down at interpreter exit (see :func:`shutdown_pools`).
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -39,37 +38,20 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Multiprocessing start methods a caller may pin (``None`` = platform
-#: default).  Spawn matters for shared-memory payloads: a forked worker
-#: inherits whatever the coordinator had mapped at fork time, while a
-#: spawned worker starts clean and attaches blocks strictly by name —
-#: the hygienic path the zero-copy data plane is tested under.
-_START_METHODS = (None, "fork", "spawn", "forkserver")
-
-#: Lazily created executors, keyed by ``(worker count, start method)``.
-#: Keying by worker count alone silently handed a caller that needed a
-#: different mp context (spawn vs fork) an executor built with the other
-#: one — the workers would run, with the wrong inheritance semantics.
-#: Guarded by a lock so concurrent callers (e.g. threaded test runners)
-#: never double-create.
-_POOLS: dict[tuple[int, str | None], ProcessPoolExecutor] = {}
+#: Lazily created executors, keyed by worker count.  Guarded by a lock
+#: so concurrent callers (e.g. threaded test runners) never
+#: double-create.
+_POOLS: dict[int, ProcessPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
 
-def _shared_pool(n_workers: int, context: str | None) -> ProcessPoolExecutor:
-    """The reusable executor for ``(n_workers, context)``, created lazily."""
+def _shared_pool(n_workers: int) -> ProcessPoolExecutor:
+    """The reusable executor for ``n_workers``, created lazily."""
     with _POOLS_LOCK:
-        pool = _POOLS.get((n_workers, context))
+        pool = _POOLS.get(n_workers)
         if pool is None:
-            mp_context = (
-                multiprocessing.get_context(context)
-                if context is not None
-                else None
-            )
-            pool = ProcessPoolExecutor(
-                max_workers=n_workers, mp_context=mp_context
-            )
-            _POOLS[(n_workers, context)] = pool
+            pool = ProcessPoolExecutor(max_workers=n_workers)
+            _POOLS[n_workers] = pool
         return pool
 
 
@@ -106,8 +88,8 @@ def adaptive_chunksize(n_items: int, n_workers: int) -> int:
     ``min(n_items, n_workers)`` chunks: when ``n_items < n_workers``
     (or rounding would otherwise coarsen chunks past one-per-worker) a
     single chunk must never collect a whole batch behind one worker
-    while the rest of the pool idles — the boundary the shard solves
-    hit first.  Equivalently: ``n_items <= n_workers`` always yields 1.
+    while the rest of the pool idles.  Equivalently:
+    ``n_items <= n_workers`` always yields 1.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
@@ -125,7 +107,6 @@ def parallel_map(
     *,
     n_workers: int | None = None,
     chunksize: int | None = None,
-    context: str | None = None,
 ) -> list[R]:
     """Order-preserving map over a process pool.
 
@@ -135,28 +116,21 @@ def parallel_map(
     is omitted it is computed adaptively from the item and worker counts
     (see :func:`adaptive_chunksize`).
 
-    Pass ``chunksize`` explicitly when per-item costs are *skewed*: the
-    adaptive heuristic assumes roughly uniform items, and a coarse chunk
-    that happens to collect several expensive items serializes them
-    behind one worker while the rest of the pool idles.  Class-shard
-    solves (:func:`repro.core.sharding.solve_sharded`) are the canonical
-    case — shard costs vary with class demand even after LPT balancing —
-    so that call site pins ``chunksize=1``.  An explicit chunk size must
-    be a positive integer; invalid values raise ``ValueError`` up front
+    Pass ``chunksize`` explicitly when per-item costs are *skewed*, or
+    when each item is already a worker-sized batch: the adaptive
+    heuristic assumes many roughly uniform items, and a coarse chunk
+    that collects several expensive items serializes them behind one
+    worker while the rest of the pool idles.
+    :func:`repro.experiments.replication.simulate_batch_parallel`, which
+    hands each worker one contiguous block of seeds, pins
+    ``chunksize=1`` for that reason.  An explicit chunk size must be a
+    positive integer; invalid values raise ``ValueError`` up front
     rather than surfacing as an opaque pool error mid-sweep.
 
-    ``context`` pins the multiprocessing start method (``"fork"``,
-    ``"spawn"`` or ``"forkserver"``; default: the platform's).  Pools
-    are keyed by ``(n_workers, context)``, so callers with different
-    context needs never share an executor built with the wrong one —
-    shared-memory payloads (:mod:`repro.experiments.shm`) are exercised
-    under spawn precisely because spawned workers attach blocks by name
-    instead of inheriting coordinator mappings.
-
-    The parallel path draws on a shared per-(worker count, context)
-    executor that persists across calls (workers are expensive to spawn;
-    sweeps are not), so back-to-back sweeps — ``repro-experiments
-    --all``, the fig3/fig4/fig6 trio — pay pool startup once.
+    The parallel path draws on a shared per-worker-count executor that
+    persists across calls (workers are expensive to spawn; sweeps are
+    not), so back-to-back sweeps — ``repro-experiments --all``, the
+    fig3/fig4/fig6 trio — pay pool startup once.
     """
     items = list(items)
     if n_workers is None:
@@ -165,15 +139,11 @@ def parallel_map(
         raise ValueError("n_workers must be at least 1")
     if chunksize is not None and chunksize < 1:
         raise ValueError("chunksize must be at least 1")
-    if context not in _START_METHODS:
-        raise ValueError(
-            f"context must be one of {_START_METHODS}, got {context!r}"
-        )
     if n_workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     if chunksize is None:
         chunksize = adaptive_chunksize(len(items), n_workers)
-    pool = _shared_pool(min(n_workers, len(items)), context)
+    pool = _shared_pool(min(n_workers, len(items)))
     return list(pool.map(fn, items, chunksize=chunksize))
 
 

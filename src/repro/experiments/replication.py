@@ -134,7 +134,6 @@ def simulate_batch_parallel(
     warmup: float = 0.0,
     seeds: Sequence[int | np.random.SeedSequence],
     n_workers: int | None = None,
-    context: str | None = None,
     use_shm: bool | None = None,
     service_distributions: Any = None,
 ) -> list[SimulationResult]:
@@ -151,8 +150,7 @@ def simulate_batch_parallel(
     ``n_workers=1`` (or a single seed) stays serial with no plane and no
     pool.  ``use_shm=False`` keeps the fan-out but ships the pre-drawn
     pool and arrays by pickle — the apples-to-apples baseline the
-    ``shm-plane`` benchmarks measure.  ``context`` pins the pool's start
-    method (see :func:`repro.experiments.parallel.parallel_map`).
+    ``shm-plane`` benchmarks measure.
     """
     seeds = list(seeds)
     if not seeds:
@@ -212,6 +210,5 @@ def simulate_batch_parallel(
             chunks,
             n_workers=n_workers,
             chunksize=1,
-            context=context,
         )
     return [result for chunk_results in per_chunk for result in chunk_results]

@@ -3,24 +3,21 @@
 Every :func:`~repro.experiments.parallel.parallel_map` task pickles its
 whole payload through a pipe.  That is fine for sweep points measured in
 kilobytes, but the production-scale paths ship the *same* large arrays
-over and over: a sharded class solve re-sends the ``(c, n)`` class
-matrices and the round's frozen fraction matrix to every shard task of
-every reconciliation round, and a batched replication study re-sends the
-system and profile arrays to every worker chunk.  At the ROADMAP's
-``m = 10^6, n = 1024`` scale the coordinator spends more wall-clock
-serializing than the workers spend solving — the comms-versus-compute
-tradeoff quantified by Berenbrink et al. for distributed selfish load
-balancing, showing up inside one machine.
+over and over: a scheme sweep re-sends every point's rate vectors, and a
+batched replication study re-sends the system and profile arrays and
+the pre-drawn demand block to every worker chunk — the
+comms-versus-compute tradeoff quantified by Berenbrink et al. for
+distributed selfish load balancing, showing up inside one machine.
 
 This module removes the re-shipping:
 
 * :class:`SharedArrayPlane` publishes read-only numpy arrays **once**
   into :mod:`multiprocessing.shared_memory` blocks.  Blocks are
   content-hash keyed (publishing equal bytes twice returns the same
-  block — a cache hit, not a second copy), reference-counted by publish
-  count, and guaranteed a ``close()``/``unlink()`` end of life through
-  the context-manager protocol plus a module ``atexit`` sweep that
-  reaps any plane a crashing caller left open.
+  block — a cache hit, not a second copy) and guaranteed a
+  ``close()``/``unlink()`` end of life through the context-manager
+  protocol plus a module ``atexit`` sweep that reaps any plane a
+  crashing caller left open.
 * :class:`ArrayRef` is the picklable handle a task payload carries
   instead of the array: a few dozen bytes naming the block, dtype,
   shape and content token.
@@ -165,17 +162,6 @@ class PlaneStats:
     bytes_saved: int
 
 
-class _Block:
-    """One owned shared-memory block (name + publish refcount)."""
-
-    __slots__ = ("shm", "ref", "publishes")
-
-    def __init__(self, shm: Any, ref: ArrayRef):
-        self.shm = shm
-        self.ref = ref
-        self.publishes = 1
-
-
 class SharedArrayPlane:
     """Publish read-only numpy arrays once; hand out picklable handles.
 
@@ -209,7 +195,8 @@ class SharedArrayPlane:
         self.min_bytes = int(min_bytes)
         self.enabled = shm_available() if enabled is None else bool(enabled)
         self._tracer = tracer
-        self._blocks: dict[str, _Block] = {}
+        #: Owned blocks by content token: (SharedMemory, handle).
+        self._blocks: dict[str, tuple[Any, ArrayRef]] = {}
         self._closed = False
         self._blocks_total = 0
         self._bytes_shared_total = 0
@@ -239,16 +226,15 @@ class SharedArrayPlane:
             self._fallbacks += 1
             return array
         token = _content_token(array)
-        block = self._blocks.get(token)
-        if block is not None:
-            block.publishes += 1
+        cached = self._blocks.get(token)
+        if cached is not None:
             self._cache_hits += 1
             self._bytes_saved += array.nbytes
             tracer = self._ambient()
             if tracer.enabled:
                 tracer.count("pool.shm.cache_hits")
                 tracer.count("pool.shm.bytes_saved", array.nbytes)
-            return block.ref
+            return cached[1]
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(create=True, size=array.nbytes)
@@ -261,7 +247,7 @@ class SharedArrayPlane:
             nbytes=int(array.nbytes),
             token=token,
         )
-        self._blocks[token] = _Block(shm, ref)
+        self._blocks[token] = (shm, ref)
         self._blocks_total += 1
         self._bytes_shared_total += int(array.nbytes)
         tracer = self._ambient()
@@ -300,24 +286,6 @@ class SharedArrayPlane:
                 tracer.count("pool.shm.bytes_saved", saved)
         return saved
 
-    def release(self, handle: ArrayRef | np.ndarray) -> None:
-        """Drop one publish of ``handle``; free the block at refcount 0.
-
-        Round-scoped data (a sharded solve's per-round fraction matrix)
-        is published, broadcast, and released so a long solve does not
-        accrete one dead block per round.  Releasing a fallback array or
-        an unknown/foreign handle is a no-op.
-        """
-        if not isinstance(handle, ArrayRef) or self._closed:
-            return
-        block = self._blocks.get(handle.token)
-        if block is None:
-            return
-        block.publishes -= 1
-        if block.publishes <= 0:
-            del self._blocks[handle.token]
-            _destroy_block(block.shm)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -329,8 +297,8 @@ class SharedArrayPlane:
         blocks = list(self._blocks.values())
         self._blocks.clear()
         stats = self.stats()
-        for block in blocks:
-            _destroy_block(block.shm)
+        for shm, _ in blocks:
+            _destroy_block(shm)
         tracer = self._ambient()
         if tracer.enabled:
             tracer.emit(
@@ -347,7 +315,7 @@ class SharedArrayPlane:
         return self._closed
 
     def stats(self) -> PlaneStats:
-        """Lifetime accounting (publishes survive release and close)."""
+        """Lifetime accounting (publishes survive close)."""
         return PlaneStats(
             blocks=self._blocks_total,
             bytes_shared=self._bytes_shared_total,

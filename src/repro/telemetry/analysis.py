@@ -245,22 +245,18 @@ def pool_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
 
 
 def class_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
-    """Class-space solver and sharded-solve view.
+    """Class-space solver view.
 
     Rolls up the ``solver.class_*`` events a
     :class:`~repro.core.classes.ClassNashSolver` run emits (start /
-    per-sweep norms / done) and the coordinator-side ``shard.round`` /
-    ``shard.solve`` events of :func:`~repro.core.sharding.solve_sharded`
-    into one overview: aggregation shape (classes, users, compression),
-    the user-weighted norm history (reconstructible exactly — the same
-    float round-trip guarantee the per-user solver enjoys), and the
-    per-round global certificate epsilons of a sharded run.
+    per-sweep norms / done) into one overview: aggregation shape
+    (classes, users, compression) and the user-weighted norm history
+    (reconstructible exactly — the same float round-trip guarantee the
+    per-user solver enjoys).
     """
     starts: list[dict[str, Any]] = []
     sweeps: list[dict[str, Any]] = []
     dones: list[dict[str, Any]] = []
-    rounds: list[dict[str, Any]] = []
-    shard_solves: list[dict[str, Any]] = []
     for event in events:
         if event.name == "solver.class_start":
             starts.append(dict(event.fields))
@@ -268,10 +264,6 @@ def class_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
             sweeps.append(dict(event.fields))
         elif event.name == "solver.class_done":
             dones.append(dict(event.fields))
-        elif event.name == "shard.round":
-            rounds.append(dict(event.fields))
-        elif event.name == "shard.solve":
-            shard_solves.append(dict(event.fields))
     last_start = starts[-1] if starts else {}
     return {
         "solves": dones,
@@ -283,13 +275,6 @@ def class_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
         "total_sweeps": len(sweeps),
         "total_elapsed_s": float(
             sum(float(s.get("elapsed_s", 0.0)) for s in sweeps)
-        ),
-        "shard_rounds": rounds,
-        "n_rounds": len(rounds),
-        "n_shard_solves": len(shard_solves),
-        "epsilon_history": [float(r["epsilon"]) for r in rounds],
-        "final_epsilon": (
-            float(rounds[-1]["epsilon"]) if rounds else None
         ),
     }
 

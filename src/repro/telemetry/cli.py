@@ -118,29 +118,20 @@ def _render_summary(events: list[TraceEvent]) -> tuple[dict[str, Any], str]:
             f"sweeps: {sweeps['n_points']} point solves ({mode}): {per_scheme}"
         )
     classes = class_summary(events)
-    if classes["n_solves"] or classes["n_rounds"]:
+    if classes["n_solves"]:
         shape = (
             f"{classes['classes']} classes / {classes['users']} users "
             f"({classes['compression']:.0f}x)"
         )
-        if classes["n_rounds"]:
-            lines.append(
-                f"class-space: {classes['n_solves']} solves, "
-                f"{classes['total_sweeps']} sweeps, {shape}; "
-                f"sharded: {classes['n_rounds']} rounds / "
-                f"{classes['n_shard_solves']} shard solves, "
-                f"final epsilon {classes['final_epsilon']:.3g}"
-            )
-        else:
-            final = (
-                f"final norm {classes['norm_history'][-1]:.3g}, "
-                if classes["norm_history"]
-                else ""
-            )
-            lines.append(
-                f"class-space: {classes['n_solves']} solves, "
-                f"{classes['total_sweeps']} sweeps, {final}{shape}"
-            )
+        final = (
+            f"final norm {classes['norm_history'][-1]:.3g}, "
+            if classes["norm_history"]
+            else ""
+        )
+        lines.append(
+            f"class-space: {classes['n_solves']} solves, "
+            f"{classes['total_sweeps']} sweeps, {final}{shape}"
+        )
     pool = pool_summary(events)
     if pool["n_blocks"] or pool["n_planes"]:
         lines.append(

@@ -61,9 +61,6 @@ DECLARED_EVENTS: dict[str, str] = {
     "solver.class_start": "summary",
     "solver.class_sweep": "convergence",
     "solver.class_done": "summary",
-    # sharded class-space solve (coordinator-side)
-    "shard.solve": "summary",
-    "shard.round": "summary",
     # simulation engine
     "sim.run": "summary",
     "sim.outage": "summary",

@@ -49,8 +49,8 @@ class TestParallelMap:
         assert result == [x * x for x in range(10)]
 
     def test_chunksize_one_for_skewed_items(self):
-        # Skewed workloads (e.g. class shards) pin chunksize=1 so no
-        # expensive item queues behind a cheap one; semantics unchanged.
+        # Batch-sized items (e.g. replication chunks) pin chunksize=1 so
+        # no expensive item queues behind another; semantics unchanged.
         result = parallel_map(
             square, list(range(10)), n_workers=2, chunksize=1
         )
@@ -74,9 +74,9 @@ class TestPoolReuse:
     def test_executor_is_reused_across_calls(self):
         shutdown_pools()
         parallel_map(square, list(range(8)), n_workers=2)
-        first = _POOLS[(2, None)]
+        first = _POOLS[2]
         parallel_map(square, list(range(8)), n_workers=2)
-        assert _POOLS[(2, None)] is first
+        assert _POOLS[2] is first
 
     def test_shutdown_then_recreate(self):
         parallel_map(square, list(range(8)), n_workers=2)
@@ -95,27 +95,8 @@ class TestPoolReuse:
     def test_pool_capped_by_item_count(self):
         shutdown_pools()
         parallel_map(square, [1, 2], n_workers=16)
-        assert list(_POOLS) == [(2, None)]
+        assert list(_POOLS) == [2]
         shutdown_pools()
-
-    def test_pools_keyed_by_context(self):
-        # Regression: pools used to be keyed by worker count alone, so a
-        # caller pinning a different start method silently reused an
-        # executor built with the wrong one.
-        shutdown_pools()
-        parallel_map(square, list(range(8)), n_workers=2)
-        default_pool = _POOLS[(2, None)]
-        result = parallel_map(
-            square, list(range(8)), n_workers=2, context="spawn"
-        )
-        assert result == [x * x for x in range(8)]
-        assert set(_POOLS) == {(2, None), (2, "spawn")}
-        assert _POOLS[(2, "spawn")] is not default_pool
-        shutdown_pools()
-
-    def test_invalid_context_rejected(self):
-        with pytest.raises(ValueError, match="context"):
-            parallel_map(square, [1, 2, 3], n_workers=2, context="thread")
 
     def test_shutdown_midflight_then_immediate_reuse(self):
         # Lifecycle: shutting the shared pools down while results from a
@@ -141,7 +122,7 @@ class TestAdaptiveChunksize:
 
     def test_fewer_items_than_workers_never_batches(self):
         # Boundary: with n_items < n_workers, rounding used to hand a
-        # whole shard batch to one worker as a single chunk.  Every item
+        # whole batch to one worker as a single chunk.  Every item
         # must be its own chunk so the pool actually fans out.
         for n_items in range(1, 8):
             assert adaptive_chunksize(n_items, 8) == 1

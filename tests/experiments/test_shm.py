@@ -158,30 +158,6 @@ class TestResolve:
 
 
 class TestLifecycle:
-    def test_release_refcounts_block(self):
-        plane = SharedArrayPlane()
-        try:
-            handle = plane.publish(big_array(7))
-            again = plane.publish(big_array(7))
-            assert again == handle
-            plane.release(handle)
-            # One publish still outstanding: resolving must still work.
-            np.testing.assert_array_equal(resolve(handle), big_array(7))
-            plane.release(handle)
-            # Refcount hit zero -> block unlinked; a *fresh* attach fails.
-            from multiprocessing import shared_memory
-
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=handle.name)
-        finally:
-            clear_worker_cache()
-            plane.close()
-
-    def test_release_of_fallback_is_noop(self):
-        with SharedArrayPlane() as plane:
-            small = plane.publish(np.arange(2, dtype=float))
-            plane.release(small)  # must not raise
-
     def test_close_is_idempotent(self):
         plane = SharedArrayPlane()
         plane.publish(big_array(8))
