@@ -122,8 +122,8 @@ def parallel_map(
     that collects several expensive items serializes them behind one
     worker while the rest of the pool idles.
     :func:`repro.experiments.replication.simulate_batch_parallel`, which
-    hands each worker one contiguous block of seeds, pins
-    ``chunksize=1`` for that reason.  An explicit chunk size must be a
+    hands each worker one contiguous block of seeds to draw and
+    simulate, pins ``chunksize=1`` for that reason.  An explicit chunk size must be a
     positive integer; invalid values raise ``ValueError`` up front
     rather than surfacing as an opaque pool error mid-sweep.
 

@@ -1,22 +1,21 @@
-"""Parallel batched replication studies over the zero-copy data plane.
+"""Parallel batched replication studies.
 
 :func:`repro.simengine.fastpath.simulate_profile_fast_batch` already
 collapses a replication study into a handful of vectorized passes, but a
 single process still executes them.  This module fans the replications
-out over the experiment process pool *without* re-pickling the heavy
-inputs per task: the coordinator pre-draws the entire uniform demand
-block once (:func:`~repro.simengine.fastpath.predraw_uniform_pool`),
-publishes it — together with the system's rate vectors and the profile's
-fraction matrix — to the shared-memory plane
-(:mod:`repro.experiments.shm`), and each worker simulates a contiguous
-slice of the replications against read-only views of those blocks.
+out over the experiment process pool: each worker receives the system,
+the profile, a contiguous slice of the seeds and the scalar settings —
+a few kilobytes — and draws its own runs' uniform demand from those
+seeds.  Sending the seeds and letting the workers draw in parallel beats
+drawing the whole block on the coordinator and shipping it: at the SIM
+default the block is ~149 MB.
 
 Bit-identity is compositional: a run's samples never depend on which
 other runs share a batch (the fastpath's documented slot-layout
-property), and a pre-drawn pool row reproduces exactly the draws the
-run would have made itself — so any chunking of the seed list yields
-the same :class:`~repro.simengine.simulator.SimulationResult` list as
-one serial batch, pinned by the parity tests.
+property, each run drawing from its own seed's stream), so any chunking
+of the seed list yields the same
+:class:`~repro.simengine.simulator.SimulationResult` list as one serial
+batch, pinned by the parity tests.
 """
 
 from __future__ import annotations
@@ -28,88 +27,34 @@ import numpy as np
 from repro.core.model import DistributedSystem
 from repro.core.strategy import StrategyProfile
 from repro.experiments.parallel import default_workers, parallel_map
-from repro.experiments.shm import (
-    ArrayRef,
-    SharedArrayPlane,
-    rehydrate,
-    resolve,
-    shm_available,
-)
-from repro.simengine.fastpath import (
-    predraw_uniform_pool,
-    simulate_profile_fast_batch,
-)
+from repro.simengine.fastpath import simulate_profile_fast_batch
 from repro.simengine.simulator import SimulationResult
 
 __all__ = ["simulate_batch_parallel"]
 
-#: One worker task: its seed slice bounds, the slice's seeds, shared
-#: handles for (mu, phi, fractions, uniform pool), custom names when the
-#: system has any, and the scalar run configuration.
+#: One worker task: the study (system and profile, custom names riding
+#: inside the pickled system), the chunk's seeds, and the scalar run
+#: configuration ``(horizon, warmup, service_distributions)``.
 ReplicationChunk = tuple[
-    int,
-    int,
+    DistributedSystem,
+    StrategyProfile,
     "Sequence[int | np.random.SeedSequence]",
-    "ArrayRef | np.ndarray",
-    "ArrayRef | np.ndarray",
-    "ArrayRef | np.ndarray",
-    "ArrayRef | np.ndarray",
-    tuple[tuple[str, ...], tuple[str, ...]] | None,
     float,
     float,
     Any,
 ]
 
 
-def _rebuild_study(
-    mu: np.ndarray, phi: np.ndarray, fractions: np.ndarray
-) -> tuple[DistributedSystem, StrategyProfile]:
-    # rehydrate() factory: validated once per worker per content token.
-    return (
-        DistributedSystem(service_rates=mu, arrival_rates=phi),
-        StrategyProfile(fractions),
-    )
-
-
 def _simulate_chunk(chunk: ReplicationChunk) -> list[SimulationResult]:
     """Simulate one contiguous slice of the replications (pool worker)."""
-    (
-        start,
-        stop,
-        seeds,
-        mu_handle,
-        phi_handle,
-        fractions_handle,
-        pool_handle,
-        names,
-        horizon,
-        warmup,
-        service_distributions,
-    ) = chunk
-    if names is None:
-        system, profile = rehydrate(
-            _rebuild_study, mu_handle, phi_handle, fractions_handle
-        )
-    else:
-        system = DistributedSystem(
-            service_rates=resolve(mu_handle),
-            arrival_rates=resolve(phi_handle),
-            computer_names=names[0],
-            user_names=names[1],
-        )
-        profile = StrategyProfile(resolve(fractions_handle))
-    # Row slices of the shared pool are zero-copy views; each run reads
-    # only its own row, so the slice is exactly the block a chunk-local
-    # predraw would have produced.
-    pool = resolve(pool_handle)[start:stop]
+    system, profile, seeds, horizon, warmup, service_distributions = chunk
     return simulate_profile_fast_batch(
         system,
         profile,
         horizon=horizon,
         warmup=warmup,
-        seeds=list(seeds),
+        seeds=seeds,
         service_distributions=service_distributions,
-        uniform_pool=pool,
     )
 
 
@@ -134,23 +79,18 @@ def simulate_batch_parallel(
     warmup: float = 0.0,
     seeds: Sequence[int | np.random.SeedSequence],
     n_workers: int | None = None,
-    use_shm: bool | None = None,
     service_distributions: Any = None,
 ) -> list[SimulationResult]:
-    """Fan a replication study out over the process pool, zero-copy.
+    """Fan a replication study out over the process pool.
 
     Semantically identical to
     ``simulate_profile_fast_batch(system, profile, ..., seeds=seeds)``
     — same results in the same order, bit for bit — with the
-    replications split into one contiguous chunk per worker.  The
-    uniform demand block is drawn once here and shared through the
-    zero-copy plane, so worker payloads carry only seed objects and
-    scalars.
+    replications split into one contiguous chunk per worker.  Each
+    worker draws its own runs' uniforms from their seeds, so a task
+    payload carries only the study, the seed slice and scalars.
 
-    ``n_workers=1`` (or a single seed) stays serial with no plane and no
-    pool.  ``use_shm=False`` keeps the fan-out but ships the pre-drawn
-    pool and arrays by pickle — the apples-to-apples baseline the
-    ``shm-plane`` benchmarks measure.
+    ``n_workers=1`` (or a single seed) stays serial with no pool.
     """
     seeds = list(seeds)
     if not seeds:
@@ -159,56 +99,20 @@ def simulate_batch_parallel(
         n_workers = default_workers()
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
-    if n_workers == 1 or len(seeds) == 1:
-        return simulate_profile_fast_batch(
+    # One chunk (n_workers=1 or a single seed) runs in-process:
+    # parallel_map's serial path.
+    chunks: list[ReplicationChunk] = [
+        (
             system,
             profile,
-            horizon=horizon,
-            warmup=warmup,
-            seeds=seeds,
-            service_distributions=service_distributions,
+            seeds[start:stop],
+            horizon,
+            warmup,
+            service_distributions,
         )
-    if use_shm is None:
-        use_shm = shm_available()
-    pool = predraw_uniform_pool(
-        system,
-        profile,
-        horizon=horizon,
-        seeds=seeds,
-        service_distributions=service_distributions,
+        for start, stop in _chunk_bounds(len(seeds), n_workers)
+    ]
+    per_chunk = parallel_map(
+        _simulate_chunk, chunks, n_workers=n_workers, chunksize=1
     )
-    defaults = system.has_default_names
-    names = (
-        None
-        if defaults[0] and defaults[1]
-        else (system.computer_names, system.user_names)
-    )
-    bounds = _chunk_bounds(len(seeds), n_workers)
-    with SharedArrayPlane(enabled=use_shm) as plane:
-        handles = (
-            plane.publish(system.service_rates),
-            plane.publish(system.arrival_rates),
-            plane.publish(profile.fractions),
-            plane.publish(pool),
-        )
-        plane.account_fanout(handles, len(bounds))
-        chunks: list[ReplicationChunk] = [
-            (
-                start,
-                stop,
-                seeds[start:stop],
-                *handles,
-                names,
-                horizon,
-                warmup,
-                service_distributions,
-            )
-            for start, stop in bounds
-        ]
-        per_chunk = parallel_map(
-            _simulate_chunk,
-            chunks,
-            n_workers=n_workers,
-            chunksize=1,
-        )
     return [result for chunk_results in per_chunk for result in chunk_results]

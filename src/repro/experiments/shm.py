@@ -2,12 +2,13 @@
 
 Every :func:`~repro.experiments.parallel.parallel_map` task pickles its
 whole payload through a pipe.  That is fine for sweep points measured in
-kilobytes, but the production-scale paths ship the *same* large arrays
-over and over: a scheme sweep re-sends every point's rate vectors, and a
-batched replication study re-sends the system and profile arrays and
-the pre-drawn demand block to every worker chunk — the
-comms-versus-compute tradeoff quantified by Berenbrink et al. for
-distributed selfish load balancing, showing up inside one machine.
+kilobytes, but a production-scale scheme sweep
+(:func:`repro.experiments.common.run_schemes_sweep`, the one adopter)
+re-sends every point's rate vectors — the comms-versus-compute tradeoff
+quantified by Berenbrink et al. for distributed selfish load balancing,
+showing up inside one machine.  (Replication studies need no plane:
+their workers draw their own demand from the seeds they receive, see
+:mod:`repro.experiments.replication`.)
 
 This module removes the re-shipping:
 
@@ -67,7 +68,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from types import TracebackType
-from typing import Any, Callable, Hashable, Sequence, TypeVar
+from typing import Any, Callable, Hashable, TypeVar
 
 import numpy as np
 
@@ -262,29 +263,6 @@ class SharedArrayPlane:
             tracer.count("pool.shm.blocks")
             tracer.count("pool.shm.bytes_shared", array.nbytes)
         return ref
-
-    def account_fanout(
-        self, handles: Sequence[ArrayRef | np.ndarray], n_tasks: int
-    ) -> int:
-        """Record that ``handles`` were broadcast to ``n_tasks`` tasks.
-
-        Returns (and counts as ``pool.shm.bytes_saved``) the payload
-        bytes the pickling path would have shipped for the *shared*
-        handles: each of the ``n_tasks`` task pickles would have carried
-        every array once.  Fallback entries (plain arrays) still ride
-        the pickle and save nothing.
-        """
-        if n_tasks < 0:
-            raise ValueError("n_tasks must be nonnegative")
-        saved = sum(
-            handle.nbytes for handle in handles if isinstance(handle, ArrayRef)
-        ) * n_tasks
-        if saved:
-            self._bytes_saved += saved
-            tracer = self._ambient()
-            if tracer.enabled:
-                tracer.count("pool.shm.bytes_saved", saved)
-        return saved
 
     # ------------------------------------------------------------------
     # Lifecycle

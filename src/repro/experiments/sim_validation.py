@@ -37,9 +37,9 @@ def run(
     The default horizon generates roughly ``0.6 * 510 * 3600 ~ 1.1M``
     counted jobs across the replications, matching the paper's "1 to 2
     millions jobs typically".  ``n_workers > 1`` fans the replications
-    over the process pool with the pre-drawn uniform block shared
-    zero-copy (:mod:`repro.experiments.replication`) — bit-identical to
-    the serial batch.
+    over the process pool, each worker drawing its own runs' random
+    streams from their seeds (:mod:`repro.experiments.replication`) —
+    bit-identical to the serial batch.
     """
     system = paper_table1_system(utilization=utilization, n_users=n_users)
     allocation = NashScheme().allocate(system)

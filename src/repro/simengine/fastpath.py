@@ -281,9 +281,8 @@ def predraw_uniform_pool(
     the widest row).  Passing the result back to
     :func:`simulate_profile_fast_batch` via ``uniform_pool=`` — whole,
     or as any contiguous row slice aligned with a seed slice — skips the
-    draw and yields bit-identical results, which is what lets a parallel
-    replication study pre-draw once and share the block zero-copy across
-    workers (:mod:`repro.experiments.replication`).
+    draw and yields bit-identical results: a row holds exactly the draws
+    the run would make for itself.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -337,9 +336,7 @@ def simulate_profile_fast_batch(
     :func:`predraw_uniform_pool` (one row per seed, in seed order) so
     the draw — by far the dominant per-run cost at small horizons — is
     skipped here; results are bit-identical because run streams resume
-    exactly past their pool block (see :class:`_LazyStreams`).  This is
-    how the parallel replication layer shares one coordinator-drawn
-    block across workers without re-pickling it per task.
+    exactly past their pool block (see :class:`_LazyStreams`).
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -378,7 +375,7 @@ def simulate_profile_fast_batch(
     n_users, n_computers = system.n_users, system.n_computers
 
     # Pre-draw each run's entire uniform demand in ONE generator call
-    # (or accept the identical block pre-drawn by the coordinator).
+    # (or accept the identical block pre-drawn by the caller).
     # Layout per run: for each computer (ascending index) a slot of
     # ``stages * size`` uniforms — gap, service (M/M/1 only) and
     # attribution draws, each ``size`` wide, where ``size`` covers the

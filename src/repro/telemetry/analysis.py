@@ -222,7 +222,7 @@ def pool_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
     the ``pool.shm.close`` events (one per plane lifetime, carrying the
     plane's final :class:`~repro.experiments.shm.PlaneStats`) into one
     overview: blocks and bytes actually shared, bytes saved by content
-    dedupe and fan-out (versus re-pickling per task), and how often the
+    dedupe (versus publishing the same bytes again), and how often the
     plane fell back to inline arrays.
     """
     publishes: list[dict[str, Any]] = []

@@ -2,28 +2,28 @@
 
 from __future__ import annotations
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.model import DistributedSystem
+from repro.experiments import replication
 from repro.experiments.replication import (
     _chunk_bounds,
     simulate_batch_parallel,
 )
-from repro.experiments.shm import clear_worker_cache, shm_available
 from repro.schemes import NashScheme
 from repro.simengine.fastpath import (
     predraw_uniform_pool,
     simulate_profile_fast_batch,
 )
 from repro.simengine.rng import replication_seeds
+from repro.simengine.service import from_scv
+from repro.telemetry.sinks import InMemorySink
+from repro.telemetry.trace import Tracer, use_tracer
 from repro.workloads.configs import paper_table1_system
-
-
-@pytest.fixture(autouse=True)
-def _clean_cache():
-    clear_worker_cache()
-    yield
-    clear_worker_cache()
 
 
 @pytest.fixture(scope="module")
@@ -137,12 +137,79 @@ class TestSimulateBatchParallel:
         )
         _assert_results_equal(serial, baseline)
 
-    @pytest.mark.skipif(not shm_available(), reason="no shared memory")
     def test_parallel_shm_bit_identical(self, study):
+        # The fan-out no longer goes through the shared-memory plane:
+        # the results stay bit-identical and nothing is published.
         system, profile = study
         seeds = replication_seeds(11, 5)
         baseline = simulate_profile_fast_batch(
             system, profile, horizon=50.0, warmup=5.0, seeds=seeds
+        )
+        sink = InMemorySink()
+        with use_tracer(Tracer(sink)) as tracer:
+            parallel = simulate_batch_parallel(
+                system,
+                profile,
+                horizon=50.0,
+                warmup=5.0,
+                seeds=seeds,
+                n_workers=2,
+            )
+        _assert_results_equal(parallel, baseline)
+        assert not [e for e in sink.events if e.name.startswith("pool.shm.")]
+        counters = tracer.registry.snapshot()["counters"]
+        assert counters.get("pool.shm.bytes_shared", 0) == 0
+
+    def test_parallel_pickle_fallback_bit_identical(self, study):
+        # Pickled chunks, once the fallback, are now the only transport.
+        system, profile = study
+        seeds = replication_seeds(11, 4)
+        baseline = simulate_profile_fast_batch(
+            system, profile, horizon=50.0, seeds=seeds
+        )
+        parallel = simulate_batch_parallel(
+            system, profile, horizon=50.0, seeds=seeds, n_workers=2
+        )
+        _assert_results_equal(parallel, baseline)
+
+    def test_custom_names_reach_the_workers(self):
+        system = DistributedSystem(
+            service_rates=[9.0, 5.0, 3.0],
+            arrival_rates=[4.0, 2.5],
+            computer_names=("alpha", "beta", "gamma"),
+            user_names=("ann", "bob"),
+        )
+        profile = NashScheme().allocate(system).profile
+        seeds = replication_seeds(23, 4)
+        baseline = simulate_profile_fast_batch(
+            system, profile, horizon=60.0, seeds=seeds
+        )
+        parallel = simulate_batch_parallel(
+            system, profile, horizon=60.0, seeds=seeds, n_workers=2
+        )
+        _assert_results_equal(parallel, baseline)
+        # The names travel inside the pickled system, not beside it.
+        shipped = pickle.loads(pickle.dumps(system))
+        assert shipped.computer_names == ("alpha", "beta", "gamma")
+        assert shipped.user_names == ("ann", "bob")
+        assert shipped.has_default_names == (False, False)
+
+    def test_general_service_times_bit_identical(self, study):
+        # General service distributions read each run's stream directly
+        # (no service stage in the uniform block), so the workers'
+        # streams must sit exactly where a serial batch leaves them.
+        system, profile = study
+        distributions = [
+            from_scv(float(rate), 2.0) for rate in system.service_rates
+        ]
+        seeds = replication_seeds(31, 4)
+        baseline = simulate_profile_fast_batch(
+            system,
+            profile,
+            horizon=50.0,
+            warmup=5.0,
+            seeds=seeds,
+            service_distributions=distributions,
         )
         parallel = simulate_batch_parallel(
             system,
@@ -151,23 +218,18 @@ class TestSimulateBatchParallel:
             warmup=5.0,
             seeds=seeds,
             n_workers=2,
-            use_shm=True,
+            service_distributions=distributions,
         )
         _assert_results_equal(parallel, baseline)
 
-    def test_parallel_pickle_fallback_bit_identical(self, study):
+    def test_more_workers_than_seeds_bit_identical(self, study):
         system, profile = study
-        seeds = replication_seeds(11, 4)
+        seeds = replication_seeds(41, 2)
         baseline = simulate_profile_fast_batch(
             system, profile, horizon=50.0, seeds=seeds
         )
         parallel = simulate_batch_parallel(
-            system,
-            profile,
-            horizon=50.0,
-            seeds=seeds,
-            n_workers=2,
-            use_shm=False,
+            system, profile, horizon=50.0, seeds=seeds, n_workers=3
         )
         _assert_results_equal(parallel, baseline)
 
@@ -181,6 +243,40 @@ class TestSimulateBatchParallel:
             simulate_batch_parallel(
                 system, profile, horizon=10.0, seeds=[1, 2], n_workers=0
             )
+
+
+class TestCoordinatorTraffic:
+    def test_sim_default_study_ships_seeds_not_draws(self, monkeypatch):
+        # The SIM default study: the coordinator must neither draw the
+        # replications' uniforms (~149 MB at this size) nor pickle them
+        # into the task payloads.
+        system = paper_table1_system(utilization=0.6, n_users=10)
+        profile = NashScheme().allocate(system).profile
+        seeds = replication_seeds(2002, 5)
+        captured = []
+
+        def capture(fn, items, **kwargs):
+            captured.extend(items)
+            return []
+
+        monkeypatch.setattr(replication, "parallel_map", capture)
+        tracemalloc.start()
+        try:
+            simulate_batch_parallel(
+                system,
+                profile,
+                horizon=4000.0,
+                warmup=400.0,
+                seeds=seeds,
+                n_workers=2,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(captured) == 2
+        assert peak < 16 * 2**20
+        shipped = sum(len(pickle.dumps(chunk)) for chunk in captured)
+        assert shipped < 64 * 2**10
 
 
 class TestChunkBounds:

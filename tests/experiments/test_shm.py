@@ -96,14 +96,6 @@ class TestPublish:
         with SharedArrayPlane() as plane:
             assert isinstance(plane.publish(big_array()), np.ndarray)
 
-    def test_account_fanout_counts_saved_pickle_bytes(self):
-        with SharedArrayPlane() as plane:
-            handle = plane.publish(big_array())
-            inline = np.arange(4, dtype=float)
-            saved = plane.account_fanout([handle, inline], n_tasks=7)
-            assert saved == handle.nbytes * 7
-            assert plane.stats().bytes_saved >= saved
-
 
 class TestResolve:
     def test_plain_array_passes_through(self):
@@ -213,11 +205,9 @@ class TestTelemetry:
         tracer = Tracer()
         with SharedArrayPlane(tracer=tracer) as plane:
             handle = plane.publish(big_array(13))
-            plane.account_fanout([handle], n_tasks=3)
         counters = tracer.registry.snapshot()["counters"]
         assert counters["pool.shm.blocks"] == 1
         assert counters["pool.shm.bytes_shared"] == handle.nbytes
-        assert counters["pool.shm.bytes_saved"] == handle.nbytes * 3
 
 
 ATEXIT_SCRIPT = """
