@@ -42,8 +42,12 @@ The sweep *norm* is user-weighted (``sum_k count_k |D_k^{(l)} -
 D_k^{(l-1)}|``) so ``tolerance`` means the same thing it means for the
 per-user solver on the expanded system.  That norm can stall long after
 the profile is certified, so an exact solve with a multi-member class is
-also ``converged`` once the certificate is within ``tolerance`` (checked
-after sweeps 1, 2, 4, 8, ...), whatever its ``final_norm``.
+also ``converged`` once the certificate is within ``tolerance``,
+whatever its ``final_norm``.  The certificate is checked after sweeps 1,
+2, 4, 8, ...: first on the sweep iterate, then, when that fails, on its
+:func:`newton_polish` — Newton steps on the Theorem 2.1 KKT system,
+which close the slow last gap of the linearly converging sweeps in a
+few quadratic steps.
 
 See docs/PERFORMANCE.md ("Class-space solving") for when aggregation
 wins and measured numbers.
@@ -81,8 +85,11 @@ __all__ = [
     "ClassEquilibriumCertificate",
     "ClassNashResult",
     "ClassNashSolver",
+    "PolishStats",
     "aggregate_users",
     "class_best_response_regrets",
+    "emit_polish",
+    "newton_polish",
 ]
 
 IntArray = np.ndarray
@@ -171,6 +178,21 @@ class ClassAggregation:
                     "member_rates requires a matching class_of vector"
                 )
             object.__setattr__(self, "member_rates", member)
+
+    @classmethod
+    def of_users(cls, system: DistributedSystem) -> "ClassAggregation":
+        """Every user of ``system`` its own class, in user order.
+
+        Not :func:`aggregate_users`, which sorts users and merges equal
+        rates into symmetric-fill classes.  Synthetic: it never expands.
+        """
+        phi = system.arrival_rates
+        return cls(
+            service_rates=system.service_rates,
+            class_rates=phi,
+            counts=np.ones(phi.size, dtype=np.intp),
+            demands=phi,
+        )
 
     # ------------------------------------------------------------------
     # Shape and aggregate properties
@@ -618,7 +640,8 @@ class SweepRun:
     user-weighted sweep norms, ``history`` the class fractions after
     each sweep (when recorded) and ``polls`` the availability probes of
     a ``sample_k`` solve (the full-information baseline when
-    ``k >= n``).
+    ``k >= n``).  ``polished`` marks a run whose final ``flows`` are a
+    certified :func:`newton_polish` of the last sweep iterate.
     """
 
     flows: FloatArray
@@ -626,6 +649,7 @@ class SweepRun:
     converged: bool
     history: list[FloatArray]
     polls: int
+    polished: bool = False
 
     @property
     def final_norm(self) -> float:
@@ -703,7 +727,10 @@ class ClassNashSolver:
     A solve stops when the sweep norm reaches ``tolerance``; one with a
     multi-member class that is not sampling also stops once the
     certificate (:func:`class_best_response_regrets`) does, checked
-    after sweeps 1, 2, 4, 8, ...  This only truncates the iterates.
+    after sweeps 1, 2, 4, 8, ...  A check that fails on the sweep
+    iterate is retried on its :func:`newton_polish` (not with
+    ``sample_k``), and a certified polish is the result.  Neither
+    changes the sweep iterates; they only truncate them.
 
     ``sample_k`` switches to power-of-k sampled class replies
     (:mod:`repro.core.sampled`): each class best-responds over its
@@ -803,7 +830,7 @@ class ClassNashSolver:
 
             on_sweep = emit_sweep
 
-        run = self.run_sweeps(aggregation, fractions, on_sweep)
+        run = self.run_sweeps(aggregation, fractions, on_sweep, tracer=tracer)
         converged = run.converged
         final = run.flows / aggregation.demands[:, None]
         try:
@@ -823,6 +850,8 @@ class ClassNashSolver:
                 stopped_by = "budget"
             elif run.final_norm <= self.tolerance:
                 stopped_by = "norm"
+            elif run.polished:
+                stopped_by = "newton"
             else:
                 stopped_by = "certificate"
             tracer.emit(
@@ -848,6 +877,8 @@ class ClassNashSolver:
         aggregation: ClassAggregation,
         fractions: FloatArray,
         on_sweep: SweepHook | None = None,
+        *,
+        tracer: Tracer | None = None,
     ) -> SweepRun:
         """The sweep engine: best-reply sweeps from a ``(c, n)`` profile.
 
@@ -859,7 +890,9 @@ class ClassNashSolver:
         ``"random"``) or all classes reply to the previous sweep's
         profile at once (Jacobi: ``"simultaneous"``, one batched kernel
         call for an all-singleton aggregation).  ``fractions`` is read,
-        never written.
+        never written.  A certificate check that fails on the sweep
+        iterate retries on its :func:`newton_polish`; ``tracer`` receives
+        the ``solver.polish`` events.
         """
         mu = aggregation.service_rates
         demands = aggregation.demands
@@ -881,6 +914,10 @@ class ClassNashSolver:
         # certificate holds.  Singleton (NashSolver) and sampled solves
         # never check it: a sampled player lacks the information.
         certify = not singleton and not sampling
+        # The polish is a centralised Newton solve: a sample_k solve, even
+        # with k >= n, models what best-replying players observe and pay
+        # for in polls, so it keeps to sweeps.
+        polish = certify and self.sample_k is None
         seed = self.seed
         polls = 0
 
@@ -904,6 +941,7 @@ class ClassNashSolver:
         norms: list[float] = []
         history: list[FloatArray] = []
         converged = False
+        polished = False
         for sweep in range(self.max_sweeps):
             lam = flows.sum(axis=0)
             started = perf_counter() if on_sweep is not None else 0.0
@@ -996,6 +1034,15 @@ class ClassNashSolver:
                 if epsilon <= self.tolerance:
                     converged = True
                     break
+                candidate = (
+                    self._certified_polish(aggregation, flows, tracer)
+                    if polish
+                    else None
+                )
+                if candidate is not None:
+                    flows = candidate
+                    converged = polished = True
+                    break
 
         if self.sample_k is not None and not sampling:
             # Full-information bypass: every reply observed all n
@@ -1007,4 +1054,190 @@ class ClassNashSolver:
             converged=converged,
             history=history,
             polls=polls,
+            polished=polished,
         )
+
+    def _certified_polish(
+        self,
+        aggregation: ClassAggregation,
+        flows: FloatArray,
+        tracer: Tracer | None,
+    ) -> FloatArray | None:
+        """The :func:`newton_polish` of ``flows``, if it certifies."""
+        stats = PolishStats()
+        candidate = newton_polish(aggregation, flows, stats)
+        epsilon = (
+            float("inf")
+            if candidate is None
+            else _epsilon(aggregation, candidate / aggregation.demands[:, None])
+        )
+        if tracer is not None:
+            emit_polish(tracer, stats, candidate, epsilon, self.tolerance)
+        return candidate if epsilon <= self.tolerance else None
+
+
+# ----------------------------------------------------------------------
+# Newton polish on the Theorem 2.1 KKT system
+# ----------------------------------------------------------------------
+#: Newton steps one polish may take before it gives up.
+_POLISH_MAX_STEPS = 30
+#: A full step that moves no member flow ``x_ki`` by more than this,
+#: relative to ``h_i + x_ki`` (the numerator of its marginal cost), ends
+#: the polish: the next error is its square.
+_POLISH_STEP_RTOL = 1e-10
+#: An idle computer joins a class's support only when its marginal cost
+#: at zero flow, ``1 / h_i``, undercuts ``nu_k`` by more than this
+#: (relatively), so a computer on the support boundary cannot flicker in
+#: and out forever.
+_SUPPORT_RTOL = 1e-9
+#: Fraction-to-boundary damping that keeps every headroom positive.
+_HEADROOM_STEP = 0.99
+
+
+@dataclass
+class PolishStats:
+    """What one :func:`newton_polish` call did (the ``solver.polish`` fields)."""
+
+    steps: int = 0
+    adds: int = 0
+    drops: int = 0
+
+
+def newton_polish(
+    aggregation: ClassAggregation,
+    flows: FloatArray,
+    stats: PolishStats | None = None,
+) -> FloatArray | None:
+    """Newton steps from class-total ``flows`` to the equilibrium.
+
+    With ``x_ki`` a class-``k`` member's flow on computer ``i`` and
+    ``h_i = mu_i - lam_i`` the computer's headroom, a member's marginal
+    cost there is ``(h_i + x_ki) / h_i^2`` (paper Theorem 2.1), so on a
+    fixed support ``S`` the equilibrium solves the smooth system::
+
+        F_ki = h_i + x_ki - nu_k h_i^2 = 0     (i in S_k)
+        G_k  = sum_i x_ki - phi_k      = 0
+
+    A Newton step eliminates ``dx`` and ``dnu`` through the load changes
+    ``s_i = sum_k count_k dx_ki``: with ``a_ki = 2 nu_k h_i - 1``,
+    ``dx_ki = -F_ki - a_ki s_i + h_i^2 dnu_k`` and ``dnu_k = (-G_k +
+    sum_i F_ki + sum_i a_ki s_i) / sum_i h_i^2`` (sums over ``S_k``), so
+    ``s`` solves one dense ``n x n`` system — diagonal ``1 + sum_k
+    count_k a_ki`` minus a rank-``c`` term — at ``O(c n^2 + n^3)`` per
+    step.  The support moves by an active-set rule: the flows a full
+    step would push below zero leave it (and the step is recomputed),
+    a step that would empty some computer's headroom is cut short, and
+    once the steps on a support converge computer ``i`` joins class
+    ``k`` wherever ``1 / h_i < nu_k`` (an idle computer that would have
+    been cheaper), until none does.
+
+    Returns the polished ``(c, n)`` class-total flows (rows summing to
+    the class demands), or ``None`` when some headroom is not positive,
+    a step is singular or the steps do not converge; ``flows`` is never
+    written.  The caller certifies the result — the polish is a
+    candidate, not a certificate.  ``stats``, when given, counts the
+    steps and support changes.
+    """
+    stats = stats if stats is not None else PolishStats()
+    mu = aggregation.service_rates
+    demands = aggregation.demands
+    counts = aggregation.counts.astype(float)
+    rates = demands / counts
+    x = flows / counts[:, None]
+    support = x > 0.0
+    h = mu - counts @ x
+    if not (h > 0.0).all() or not support.any(axis=1).all():
+        return None
+    h2 = h * h
+    # The least-squares multiplier of each class's current support.
+    nu = ((h + x) * h2 * support).sum(axis=1) / (h2 * h2 * support).sum(axis=1)
+    diagonal = np.diag_indices(mu.size)
+    converged = False
+    for step in range(_POLISH_MAX_STEPS):
+        if converged or step == 0:
+            joining = ~support & (nu[:, None] * h > 1.0 + _SUPPORT_RTOL)
+            if joining.any():
+                support |= joining
+                stats.adds += int(joining.sum())
+            elif converged:
+                break
+        converged = False
+        weights = h2 * support
+        norm = weights.sum(axis=1)
+        resid = (h + x - nu[:, None] * h2) * support
+        slope = (2.0 * nu[:, None] * h - 1.0) * support
+        g = (resid.sum(axis=1) - (x.sum(axis=1) - rates)) / norm
+        matrix = -(weights * (counts / norm)[:, None]).T @ slope
+        matrix[diagonal] += 1.0 + counts @ slope
+        try:
+            s = np.linalg.solve(matrix, counts @ (weights * g[:, None] - resid))
+        except np.linalg.LinAlgError:
+            return None
+        stats.steps += 1
+        dnu = g + (slope @ s) / norm
+        dx = (h2 * dnu[:, None] - resid - slope * s[None, :]) * support
+        if not np.isfinite(dx).all():
+            return None
+        # Flows the full step would push below zero leave the support at
+        # once, and the step is recomputed without them: stepping only
+        # to the first such boundary drops one flow per step.
+        leaving = support & (x + dx < 0.0)
+        if leaving.any():
+            support &= ~leaving
+            if not support.any(axis=1).all():
+                return None
+            x[leaving] = 0.0
+            stats.drops += int(leaving.sum())
+        else:
+            # Fraction to the boundary keeps every headroom positive.
+            alpha = 1.0
+            filling = s > 0.0
+            if filling.any():
+                room = float((h[filling] / s[filling]).min())
+                alpha = min(1.0, _HEADROOM_STEP * room)
+            x += alpha * dx
+            nu += alpha * dnu
+            converged = alpha >= 1.0 and bool(
+                (np.abs(dx) <= _POLISH_STEP_RTOL * (h + x)).all()
+            )
+        h = mu - counts @ x
+        if not (h > 0.0).all():
+            return None
+        h2 = h * h
+    else:
+        return None
+    polished: FloatArray = x * counts[:, None]
+    polished *= (demands / polished.sum(axis=1))[:, None]
+    return polished
+
+
+def emit_polish(
+    tracer: Tracer,
+    stats: PolishStats,
+    polished: FloatArray | None,
+    epsilon: float,
+    tolerance: float,
+) -> None:
+    """Emit the ``solver.polish`` event of one certified polish attempt.
+
+    ``epsilon`` is the certificate of the polished profile (``inf`` when
+    :func:`newton_polish` returned ``None``); the outcome is
+    ``certified``, ``fallback`` (polished, but the certificate missed
+    ``tolerance``, so the caller keeps sweeping) or ``failed``.
+    """
+    if not tracer.enabled:
+        return
+    if polished is None:
+        outcome = "failed"
+    elif epsilon <= tolerance:
+        outcome = "certified"
+    else:
+        outcome = "fallback"
+    tracer.emit(
+        "solver.polish",
+        steps=stats.steps,
+        adds=stats.adds,
+        drops=stats.drops,
+        outcome=outcome,
+        epsilon=epsilon,
+    )

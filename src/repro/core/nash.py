@@ -241,14 +241,7 @@ class NashSolver:
 
             on_sweep = emit_sweep
 
-        # Singleton classes in user order — not aggregate_users, which
-        # sorts users and merges equal rates into symmetric-fill classes.
-        users = ClassAggregation(
-            service_rates=system.service_rates,
-            class_rates=phi,
-            counts=np.ones(m, dtype=np.intp),
-            demands=phi,
-        )
+        users = ClassAggregation.of_users(system)
         run = self._engine().run_sweeps(users, profile.fractions, on_sweep)
         converged = run.converged
         final = StrategyProfile(run.flows / phi[:, None])

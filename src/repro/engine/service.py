@@ -88,8 +88,11 @@ class EngineConfig:
     sweep_budget:
         Hard cap on best-reply sweeps per epoch.
     certify_every:
-        Sweeps between certificate checks (the early-stop cadence);
-        ``None`` certifies once, after a single uninterrupted solve.
+        The fallback cadence: every epoch certifies the Newton polish of
+        its first sweep, and only when that misses ``epsilon`` does it
+        go on sweeping, certifying (and polishing) every
+        ``certify_every`` sweeps.  ``None`` skips the polish and
+        certifies once, after a single uninterrupted solve.
     warm_mode:
         ``"repair"`` adapts the previous equilibrium through the full
         continuation/degradation cascade; ``"strict"`` only reuses it
@@ -417,6 +420,7 @@ class OnlineEquilibriumEngine:
             epsilon=self.config.certificate_epsilon,
             sweep_budget=self.config.sweep_budget,
             certify_every=self.config.certify_every,
+            tracer=self._resolve_tracer(),
         )
         online = self._state.online.copy()
         full = embed_profile(outcome.result.profile.fractions, online)

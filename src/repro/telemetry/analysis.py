@@ -302,13 +302,28 @@ def engine_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
     processed epoch — into the operational overview ``repro-trace
     engine`` renders: status counts, contiguous degraded-mode windows
     (epoch index ranges where part or all of the fleet was down),
-    SLA-violation totals, warm-start/certification coverage, and a
-    power-of-two sweeps-per-epoch histogram.
+    SLA-violation totals, warm-start/certification coverage, a
+    power-of-two sweeps-per-epoch histogram, and the Newton polish
+    tally: ``solver.polish`` outcomes, and the share of polished epochs
+    whose first polish did not certify (``polish_fallback_rate`` — the
+    epochs that went on sweeping).
     """
     epochs: list[dict[str, Any]] = []
+    polish_outcomes: TallyCounter[str] = TallyCounter()
+    first_polish: str | None = None
+    polished_epochs = fallback_epochs = 0
     for event in events:
-        if event.name == "engine.epoch":
+        if event.name == "solver.polish":
+            outcome = str(event.fields.get("outcome", "?"))
+            polish_outcomes[outcome] += 1
+            if first_polish is None:
+                first_polish = outcome
+        elif event.name == "engine.epoch":
             epochs.append(dict(event.fields))
+            if first_polish is not None:
+                polished_epochs += 1
+                fallback_epochs += first_polish != "certified"
+                first_polish = None
     statuses = [str(e.get("status", "?")) for e in epochs]
     status_counts: TallyCounter[str] = TallyCounter(statuses)
     windows: list[tuple[int, int]] = []
@@ -350,6 +365,12 @@ def engine_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
                     item[0].lstrip(">").split("-")[-1]
                 ),
             )
+        ),
+        "polish_outcomes": dict(sorted(polish_outcomes.items())),
+        "polished_epochs": polished_epochs,
+        "polish_fallback_epochs": fallback_epochs,
+        "polish_fallback_rate": (
+            fallback_epochs / polished_epochs if polished_epochs else 0.0
         ),
         "total_latency_s": float(sum(latencies)),
         "max_latency_s": float(max(latencies, default=0.0)),

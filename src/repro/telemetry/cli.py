@@ -228,6 +228,16 @@ def _render_engine(
     )
     for bucket, count in payload["sweeps_histogram"].items():
         lines.append(f"  {bucket:>8}  {count}")
+    if payload["polished_epochs"]:
+        outcomes = ", ".join(
+            f"{outcome}={count}"
+            for outcome, count in payload["polish_outcomes"].items()
+        )
+        lines.append(
+            f"Newton polish: {outcomes}; fallback to sweeps in "
+            f"{payload['polish_fallback_epochs']}/{payload['polished_epochs']} "
+            f"epochs ({payload['polish_fallback_rate']:.1%})"
+        )
     lines.append(
         f"re-equilibration latency: {payload['total_latency_s']:.4f}s total, "
         f"{payload['max_latency_s']:.4f}s worst epoch"

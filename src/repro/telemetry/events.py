@@ -61,6 +61,8 @@ DECLARED_EVENTS: dict[str, str] = {
     "solver.class_start": "summary",
     "solver.class_sweep": "convergence",
     "solver.class_done": "summary",
+    # Newton polish before a certificate (engine epochs, class solves)
+    "solver.polish": "engine",
     # simulation engine
     "sim.run": "summary",
     "sim.outage": "summary",

@@ -338,6 +338,59 @@ def _class_structured_system(
     return DistributedSystem(service_rates=mu, arrival_rates=phi)
 
 
+class TestNewtonStop:
+    """High-utilization exact class solves certify on the Newton polish.
+
+    Both ran out the 500-sweep budget before the polish: the certificate
+    shrank by about 0.08% per sweep and ended at 1.8e-6 and 1.2e-6.
+    """
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(10_000, 64, 8, 0.95), (100_000, 128, 256, 0.9)],
+        ids=["m1e4-n64-c8-u0.95", "m1e5-n128-c256-u0.9"],
+    )
+    def test_certifies_within_a_few_sweeps(self, shape):
+        from repro.telemetry.sinks import InMemorySink
+        from repro.telemetry.trace import Tracer
+
+        aggregation = aggregate_users(_class_structured_system(*shape, 42))
+        sink = InMemorySink()
+        solver = ClassNashSolver()
+        result = solver.solve(aggregation, tracer=Tracer(sink))
+        assert result.converged
+        assert result.iterations <= 8
+        certificate = class_best_response_regrets(
+            aggregation, result.class_fractions
+        )
+        assert certificate.epsilon <= solver.tolerance
+        (done,) = [e for e in sink.events if e.name == "solver.class_done"]
+        assert done.fields["stopped_by"] == "newton"
+        polishes = [e for e in sink.events if e.name == "solver.polish"]
+        assert polishes[-1].fields["outcome"] == "certified"
+        assert polishes[-1].fields["epsilon"] == certificate.epsilon
+
+    def test_failed_polish_falls_back_to_the_sweeps(self, monkeypatch):
+        aggregation = aggregate_users(
+            _class_structured_system(10_000, 64, 8, 0.95, 42)
+        )
+        monkeypatch.setattr(classes, "newton_polish", lambda *args: None)
+        result = ClassNashSolver(max_sweeps=20).solve(aggregation)
+        assert not result.converged
+        assert result.iterations == 20
+
+    def test_sampled_solves_never_polish(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a sample_k solve reached the polish")
+
+        monkeypatch.setattr(classes, "newton_polish", unreachable)
+        aggregation = aggregate_users(
+            _class_structured_system(10_000, 64, 8, 0.95, 42)
+        )
+        for k in (2, aggregation.n_computers):
+            ClassNashSolver(max_sweeps=4, sample_k=k).solve(aggregation)
+
+
 class TestCertificateStop:
     """Multi-member exact solves also stop on the epsilon-Nash certificate."""
 

@@ -23,6 +23,10 @@ and ``optimal_fractions``, the sweep engine's fused reply, the sampled
 reply with a full sample, a ring agent's update, the symmetric class
 fill and, row by row, the batch kernels ``optimal_fractions_batch`` and
 ``sampled_best_reply_batch`` (with a full sample).
+
+The Newton polish (``newton_polish``) is checked the same way, one class
+row at a time against the availability the rest of the polished profile
+leaves it, and against whole reference solves.
 """
 
 from __future__ import annotations
@@ -34,8 +38,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import classes
 from repro.core.best_response import optimal_fractions, optimal_fractions_batch
-from repro.core.classes import _fused_class_reply_inplace, _symmetric_class_fill
+from repro.core.classes import (
+    ClassAggregation,
+    ClassNashSolver,
+    _fused_class_reply_inplace,
+    _symmetric_class_fill,
+    newton_polish,
+)
+from repro.core.model import DistributedSystem
+from repro.core.reference import reference_solve
 from repro.core.sampled import sampled_best_reply, sampled_best_reply_batch
 from repro.core.waterfill import sqrt_waterfill, sqrt_waterfill_inplace
 from repro.distributed.network import MessageBus
@@ -52,9 +65,20 @@ _CONDITIONING_RTOL = 1e-13
 
 
 def assert_kkt(
-    available: np.ndarray, flows: np.ndarray, demand: float, count: float = 1.0
+    available: np.ndarray,
+    flows: np.ndarray,
+    demand: float,
+    count: float = 1.0,
+    *,
+    computed_from: np.ndarray | None = None,
 ) -> float:
-    """Assert ``flows`` is the (member) best reply; return the tolerance."""
+    """Assert ``flows`` is the (member) best reply; return the tolerance.
+
+    ``computed_from`` holds the magnitudes ``available`` was computed
+    from when they exceed it (``mu`` for the ``mu - lam + row`` of a
+    whole profile): their rounding, not ``available``'s, sets the
+    conditioning.
+    """
     m = np.asarray(available, dtype=float)
     y = np.asarray(flows, dtype=float)
     a = m - (count - 1.0) / count * y
@@ -68,7 +92,8 @@ def assert_kkt(
 
     # a_i - x_i, without the cancellation of subtracting two O(m_i) terms.
     gap = m[support] - y[support]
-    conditioning = float((m[support] / gap).max())  # reprolint: allow=R003 a float conditioning ratio, not a response time
+    scale = m if computed_from is None else np.maximum(m, computed_from)
+    conditioning = float((scale[support] / gap).max())  # reprolint: allow=R003 a float conditioning ratio, not a response time
     rtol = _BASE_RTOL + _CONDITIONING_RTOL * conditioning
     marginal = a[support] / gap**2
     nu = float(marginal.min())
@@ -288,3 +313,181 @@ class TestSymmetricFill:
         y, d = _symmetric_class_fill(available, demand, count)
         rtol = assert_kkt(available, y, demand, count)
         assert abs(d - member_time(available, y, demand)) <= rtol * d
+
+
+def class_system(
+    mu: list[float] | np.ndarray,
+    rates: list[float] | np.ndarray,
+    counts: list[int] | np.ndarray,
+    utilization: float,
+) -> ClassAggregation:
+    """Classes of ``counts`` members at relative ``rates``, scaled to load."""
+    mu = np.asarray(mu, dtype=float)
+    counts = np.asarray(counts, dtype=np.intp)
+    demands = np.asarray(rates, dtype=float) * counts
+    demands *= utilization * mu.sum() / demands.sum()
+    return ClassAggregation(
+        service_rates=mu, class_rates=demands / counts, counts=counts,
+        demands=demands,
+    )
+
+
+def sweep_iterate(aggregation: ClassAggregation, sweeps: int = 1) -> np.ndarray:
+    """Class-total flows after ``sweeps`` best-reply sweeps (unpolished)."""
+    run = ClassNashSolver(max_sweeps=sweeps, record_history=True).solve(
+        aggregation
+    )
+    return run.history[-1] * aggregation.demands[:, None]
+
+
+def assert_polished_kkt(aggregation: ClassAggregation, flows: np.ndarray) -> None:
+    """Every class row is its members' best reply to the rest of ``flows``."""
+    lam = flows.sum(axis=0)
+    mu = aggregation.service_rates
+    for row, demand, count in zip(flows, aggregation.demands, aggregation.counts):
+        assert_kkt(mu - lam + row, row, demand, count, computed_from=mu)
+
+
+_RNG = np.random.default_rng(11)
+POLISH_CASES: dict[str, ClassAggregation] = {
+    "utilization_1-1e-9": class_system(
+        _RNG.uniform(10.0, 100.0, 8), _RNG.uniform(0.5, 2.0, 5),
+        [3, 1, 10, 2, 1], 1.0 - 1e-9,
+    ),
+    "mu_ratio_1e6": class_system(
+        [1.0, 1e6, 1e3, 10.0, 1e6, 1.0], [1.0, 1.7, 0.6, 1.2], [1, 1, 4, 1], 0.7
+    ),
+    "mu_ratio_1e6_light": class_system([1.0, 1e6], [1.0, 2.0], [1, 1], 1e-6),
+    "n1": class_system([42.0], [1.0, 1.0, 3.0], [1, 5, 1], 0.99),
+    "n1_singletons": class_system([7.0], [1.0, 2.0], [1, 1], 1.0 - 1e-9),
+    "tied_rates": class_system(
+        [3.0, 3.0, 5.0, 5.0, 5.0], [1.0, 1.0, 2.0, 2.0], [1, 1, 4, 4], 0.9
+    ),
+    "tied_singletons": class_system([4.0] * 4, [1.0] * 3, [1] * 3, 0.6),
+}
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("name", sorted(POLISH_CASES))
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    def test_polished_profile_satisfies_kkt(self, name, sweeps):
+        aggregation = POLISH_CASES[name]
+        polished = newton_polish(aggregation, sweep_iterate(aggregation, sweeps))
+        assert polished is not None
+        assert_polished_kkt(aggregation, polished)
+
+    @given(
+        st.integers(1, 10),
+        st.integers(1, 6),
+        st.sampled_from([1.0, 10.0, 1e3, 1e6]),
+        st.booleans(),
+        st.sampled_from([0.3, 0.7, 0.9, 0.99, 1.0 - 1e-9]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_systems(self, n, c, spread, tied, utilization, seed):
+        rng = np.random.default_rng(seed)
+        mu = spread ** rng.uniform(0.0, 1.0, n) * rng.uniform(1.0, 2.0, n)
+        rates = rng.uniform(0.5, 2.0, c)
+        if tied:
+            mu = rng.choice(mu[: max(1, n // 3)], n)
+            rates = rng.choice(rates[: max(1, c // 3)], c)
+        aggregation = class_system(
+            mu, rates, rng.choice([1, 1, 2, 10, 1000], c), utilization
+        )
+        polished = newton_polish(aggregation, sweep_iterate(aggregation))
+        assert polished is not None
+        assert_polished_kkt(aggregation, polished)
+
+    def test_idle_computer_on_the_support_boundary(self):
+        # Add a computer whose marginal cost at zero flow, 1/mu, equals
+        # the highest class multiplier nu_k of the equilibrium: it sits
+        # exactly on that class's support boundary and carries no flow.
+        base = POLISH_CASES["tied_rates"]
+        equilibrium = newton_polish(base, sweep_iterate(base))
+        assert equilibrium is not None
+        h = base.service_rates - equilibrium.sum(axis=0)
+        member = equilibrium / base.counts[:, None]
+        on = member > 0.0
+        nu = np.where(on, (h + member) / h**2, 0.0).sum(axis=1) / on.sum(axis=1)
+        edge = ClassAggregation(
+            service_rates=np.append(base.service_rates, 1.0 / nu.max()),
+            class_rates=base.class_rates,
+            counts=base.counts,
+            demands=base.demands,
+        )
+        polished = newton_polish(edge, sweep_iterate(edge))
+        assert polished is not None
+        assert_polished_kkt(edge, polished)
+        np.testing.assert_allclose(
+            polished / edge.demands[:, None],
+            np.pad(equilibrium / base.demands[:, None], ((0, 0), (0, 1))),
+            rtol=0.0, atol=1e-9,
+        )
+
+    def test_zero_headroom_returns_none_and_leaves_flows_alone(self):
+        aggregation = class_system([1.0, 2.0], [1.0], [1], 0.5)
+        flows = np.array([[1.0, 0.5]])  # computer 0 has no headroom left
+        before = flows.copy()
+        assert newton_polish(aggregation, flows) is None
+        np.testing.assert_array_equal(flows, before)
+
+    def test_failed_polish_leaves_the_sweep_iterates_unchanged(self, monkeypatch):
+        aggregation = POLISH_CASES["utilization_1-1e-9"]
+        n = aggregation.n_computers
+        # A sample_k >= n solve takes the exact path but never polishes.
+        unpolished = ClassNashSolver(max_sweeps=4, sample_k=n).solve(aggregation)
+        monkeypatch.setattr(classes, "newton_polish", lambda *args: None)
+        failed = ClassNashSolver(max_sweeps=4).solve(aggregation)
+        assert not failed.converged
+        np.testing.assert_array_equal(
+            failed.class_fractions, unpolished.class_fractions
+        )
+        np.testing.assert_array_equal(failed.norm_history, unpolished.norm_history)
+
+
+class TestPolishMatchesReferenceSolves:
+    """Polished profiles equal whole reference solves (``core/reference.py``)."""
+
+    @pytest.mark.parametrize(
+        ("n", "m", "utilization", "spread", "seed"),
+        [
+            (8, 5, 0.7, 1.0, 0),
+            (16, 6, 0.9, 1.0, 1),
+            (6, 4, 0.95, 1e6, 5),
+            (1, 3, 0.99, 1.0, 2),
+            (5, 4, 0.6, 10.0, 3),
+        ],
+    )
+    def test_singleton_users(self, n, m, utilization, spread, seed):
+        rng = np.random.default_rng(seed)
+        mu = spread ** rng.uniform(0.0, 1.0, n) * rng.uniform(10.0, 100.0, n)
+        phi = rng.uniform(0.5, 2.0, m)
+        phi *= utilization * mu.sum() / phi.sum()
+        system = DistributedSystem(service_rates=mu, arrival_rates=phi)
+        reference = reference_solve(system, tolerance=1e-15, max_sweeps=5000)
+        assert reference.converged
+        users = ClassAggregation.of_users(system)
+        polished = newton_polish(users, sweep_iterate(users))
+        assert polished is not None
+        np.testing.assert_allclose(
+            polished / phi[:, None], reference.profile.fractions,
+            rtol=0.0, atol=1e-9,
+        )
+
+    def test_classes_match_their_expanded_users(self):
+        system = DistributedSystem(
+            service_rates=[30.0, 12.0, 50.0, 8.0],
+            arrival_rates=[9.0, 4.0, 9.0, 4.0, 4.0, 20.0],
+        )
+        aggregation = classes.aggregate_users(system)
+        assert aggregation.n_classes == 3
+        polished = newton_polish(aggregation, sweep_iterate(aggregation))
+        assert polished is not None
+        reference = reference_solve(system, tolerance=1e-15, max_sweeps=5000)
+        assert reference.converged
+        np.testing.assert_allclose(
+            aggregation.expand(polished / aggregation.demands[:, None]).fractions,
+            reference.profile.fractions,
+            rtol=0.0, atol=1e-9,
+        )

@@ -7,11 +7,18 @@ import pytest
 
 from repro.core.equilibrium import best_response_regrets
 from repro.core.nash import NashSolver
+from repro.engine import reequilibrate
 from repro.engine.reequilibrate import converge_bounded
 from repro.workloads import paper_table1_system
 
 SYSTEM = paper_table1_system(utilization=0.7, n_users=8)
 TOL = 1e-6
+
+
+@pytest.fixture
+def no_polish(monkeypatch):
+    """Every Newton polish fails, so the chunked sweeps do all the work."""
+    monkeypatch.setattr(reequilibrate, "newton_polish", lambda *args: None)
 
 
 class TestBoundedConvergence:
@@ -29,7 +36,24 @@ class TestBoundedConvergence:
         assert outcome.epsilon <= TOL
         assert outcome.result.converged
 
-    def test_sweep_budget_is_a_hard_cap(self):
+    def test_polish_certifies_after_one_sweep(self):
+        outcome = converge_bounded(
+            SYSTEM,
+            "proportional",
+            tolerance=TOL,
+            epsilon=TOL,
+            sweep_budget=500,
+            certify_every=16,
+        )
+        assert outcome.certified
+        assert outcome.sweeps == 1
+        assert len(outcome.result.norm_history) == 1
+        cert = best_response_regrets(SYSTEM, outcome.result.profile)
+        assert cert.epsilon <= TOL
+
+    def test_sweep_budget_is_a_hard_cap(self, no_polish):
+        # Without the polish, 1e-14 is out of reach in 7 sweeps (the
+        # polish certifies it at ~1e-17 after one).
         outcome = converge_bounded(
             SYSTEM,
             "proportional",
@@ -88,7 +112,8 @@ class TestBoundedConvergence:
         cert = best_response_regrets(SYSTEM, outcome.result.profile)
         assert cert.epsilon <= TOL
 
-    def test_norm_history_accumulates_across_chunks(self):
+    def test_norm_history_accumulates_across_chunks(self, no_polish):
+        # The polish stops after one sweep; without it the chunks run.
         outcome = converge_bounded(
             SYSTEM,
             "proportional",

@@ -105,6 +105,15 @@ class TestEngineView:
         assert payload["warm_started"] == run.warm_epochs
         assert payload["total_sweeps"] == run.total_sweeps
 
+    def test_polish_outcomes_per_epoch(self, engine_traced_run, capsys):
+        path, run = engine_traced_run
+        assert main(["engine", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["polished_epochs"] == run.n_epochs
+        assert sum(payload["polish_outcomes"].values()) >= run.n_epochs
+        assert main(["engine", str(path)]) == 0
+        assert "Newton polish: certified=" in capsys.readouterr().out
+
     def test_engine_appears_in_summary(self, engine_traced_run, capsys):
         path, _ = engine_traced_run
         assert main(["summary", str(path)]) == 0
@@ -162,6 +171,35 @@ class TestEngineSummaryRollup:
         }
         assert summary["total_sweeps"] == 313
 
+    def test_polish_fallback_rate_counts_epochs_that_kept_sweeping(self):
+        def polish(seq, outcome):
+            return TraceEvent(
+                seq, "solver.polish",
+                {"steps": 3, "adds": 0, "drops": 0, "outcome": outcome,
+                 "epsilon": 0.0},
+            )
+
+        events = [
+            polish(0, "certified"),
+            self.epoch(1, index=0, status="ok", sweeps=1, certified=True),
+            polish(2, "fallback"),
+            polish(3, "certified"),
+            self.epoch(4, index=1, status="ok", sweeps=17, certified=True),
+            polish(5, "failed"),
+            polish(6, "certified"),
+            self.epoch(7, index=2, status="ok", sweeps=17, certified=True),
+            self.epoch(8, index=3, status="idle", sweeps=0),
+            polish(9, "certified"),
+            self.epoch(10, index=4, status="ok", sweeps=1, certified=True),
+        ]
+        summary = engine_summary(events)
+        assert summary["polish_outcomes"] == {
+            "certified": 4, "failed": 1, "fallback": 1,
+        }
+        assert summary["polished_epochs"] == 4
+        assert summary["polish_fallback_epochs"] == 2
+        assert summary["polish_fallback_rate"] == 0.5
+
     def test_uncertified_solvable_epoch_flips_all_certified(self):
         events = [
             self.epoch(0, index=0, status="ok", sweeps=5, certified=False),
@@ -171,6 +209,7 @@ class TestEngineSummaryRollup:
     def test_empty_trace(self):
         summary = engine_summary([])
         assert summary["n_epochs"] == 0
+        assert summary["polish_fallback_rate"] == 0.0
         assert summary["degraded_windows"] == []
         assert summary["all_certified"] is True
 
