@@ -10,7 +10,9 @@ The headline pair is the m=1000-user, n=64-computer NASH solve: the
 :mod:`repro.core.reference`, the ``_vectorized`` side the production
 solver (incremental load accounting + batched water-fill).  Both sides
 run the *same fixed sweep budget* so the ratio measures per-sweep cost,
-not convergence luck.
+not convergence luck: the production side solves with the paper's
+``stop="norm"`` rule, as ``reference_solve`` does, so no certificate
+stop or Newton polish cuts its budget short.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def test_bench_nash_m1000_n64_roundrobin_legacy(benchmark):
 @nash_core
 def test_bench_nash_m1000_n64_roundrobin_vectorized(benchmark):
     system = _large_system()
-    solver = NashSolver(max_sweeps=ROUNDROBIN_SWEEPS)
+    solver = NashSolver(max_sweeps=ROUNDROBIN_SWEEPS, stop="norm")
     result = benchmark.pedantic(
         lambda: solver.solve(system), rounds=3, iterations=1
     )
@@ -127,7 +129,9 @@ def test_bench_nash_m1000_n64_simultaneous_legacy(benchmark):
 @nash_core
 def test_bench_nash_m1000_n64_simultaneous_vectorized(benchmark):
     system = _large_system()
-    solver = NashSolver(order="simultaneous", max_sweeps=SIMULTANEOUS_SWEEPS)
+    solver = NashSolver(
+        order="simultaneous", max_sweeps=SIMULTANEOUS_SWEEPS, stop="norm"
+    )
     result = benchmark.pedantic(
         lambda: solver.solve(system), rounds=3, iterations=1
     )

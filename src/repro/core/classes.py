@@ -40,14 +40,16 @@ tests pin this against ``aggregate_users`` of sorted-rate systems).
 
 The sweep *norm* is user-weighted (``sum_k count_k |D_k^{(l)} -
 D_k^{(l-1)}|``) so ``tolerance`` means the same thing it means for the
-per-user solver on the expanded system.  That norm can stall long after
-the profile is certified, so an exact solve with a multi-member class is
-also ``converged`` once the certificate is within ``tolerance``,
-whatever its ``final_norm``.  The certificate is checked after sweeps 1,
-2, 4, 8, ...: first on the sweep iterate, then, when that fails, on its
-:func:`newton_polish` — Newton steps on the Theorem 2.1 KKT system,
-which close the slow last gap of the linearly converging sweeps in a
-few quadratic steps.
+per-user solver on the expanded system.  That norm lags the profile's
+quality (it stalls for multi-member classes, and even a per-user solve
+runs ~2.5x the sweeps the certificate needs), so by default
+(``stop="certificate"``) an exact solve is also ``converged`` once the
+certificate is within ``tolerance``, whatever its ``final_norm``.  The
+certificate is checked after sweeps 1, 2, 4, 8, ...: first on the sweep
+iterate, then, when that fails, on its :func:`newton_polish` — Newton
+steps on the Theorem 2.1 KKT system, which close the slow last gap of
+the linearly converging sweeps in a few quadratic steps.
+``stop="norm"`` is the paper's rule alone: the sweep norm, nothing else.
 
 See docs/PERFORMANCE.md ("Class-space solving") for when aggregation
 wins and measured numbers.
@@ -86,6 +88,7 @@ __all__ = [
     "ClassNashResult",
     "ClassNashSolver",
     "PolishStats",
+    "StopRule",
     "aggregate_users",
     "class_best_response_regrets",
     "emit_polish",
@@ -101,6 +104,7 @@ DEFAULT_MAX_SWEEPS = 500
 
 ClassInitialization = Literal["zero", "proportional", "uniform"]
 UpdateOrder = Literal["roundrobin", "random", "simultaneous"]
+StopRule = Literal["certificate", "norm"]
 
 
 @dataclass(frozen=True)
@@ -655,6 +659,16 @@ class SweepRun:
     def final_norm(self) -> float:
         return self.norms[-1] if self.norms else 0.0
 
+    def stopped_by(self, tolerance: float) -> str:
+        """Why the sweeps stopped: ``norm``, ``certificate``, ``newton``
+        or ``budget`` (the ``stopped_by`` field of the done events)."""
+        # The certificate is checked only where the norm rule failed.
+        if not self.converged:
+            return "budget"
+        if self.final_norm <= tolerance:
+            return "norm"
+        return "newton" if self.polished else "certificate"
+
 
 def certify_sample(
     run: SweepRun, k: int, n: int, epsilon: float, tracer: Tracer
@@ -724,13 +738,17 @@ class ClassNashSolver:
     order, seed for the ``"random"`` order), whose solves run on this
     class's sweep engine with every user a singleton class.
 
-    A solve stops when the sweep norm reaches ``tolerance``; one with a
-    multi-member class that is not sampling also stops once the
+    ``stop`` picks the stopping rule.  ``"norm"`` is the paper's: the
+    solve stops when the sweep norm reaches ``tolerance``.  Under
+    ``"certificate"`` (the default) an exact solve also stops once the
     certificate (:func:`class_best_response_regrets`) does, checked
     after sweeps 1, 2, 4, 8, ...  A check that fails on the sweep
-    iterate is retried on its :func:`newton_polish` (not with
-    ``sample_k``), and a certified polish is the result.  Neither
-    changes the sweep iterates; they only truncate them.
+    iterate is retried on its :func:`newton_polish`, and a polish whose
+    own certificate passes is the result.  Neither changes the sweep
+    iterates; they only truncate them.  A ``sample_k`` solve keeps the
+    norm rule: a sampled player lacks the information to certify, and a
+    ``k >= n`` solve models the same polled players (a class one with a
+    multi-member class checks its sweep iterates, never a polish).
 
     ``sample_k`` switches to power-of-k sampled class replies
     (:mod:`repro.core.sampled`): each class best-responds over its
@@ -746,6 +764,7 @@ class ClassNashSolver:
     seed: int = 0
     record_history: bool = False
     sample_k: int | None = None
+    stop: StopRule = "certificate"
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0.0:
@@ -754,6 +773,8 @@ class ClassNashSolver:
             raise ValueError("max_sweeps must be at least 1")
         if self.order not in ("roundrobin", "random", "simultaneous"):
             raise ValueError(f"unknown update order {self.order!r}")
+        if self.stop not in ("certificate", "norm"):
+            raise ValueError(f"unknown stop rule {self.stop!r}")
         if self.sample_k is not None and self.sample_k < 1:
             raise ValueError("sample_k must be at least 1 (or None)")
 
@@ -845,21 +866,12 @@ class ClassNashSolver:
             epsilon = _epsilon(aggregation, final)
             sample = certify_sample(run, self.sample_k, n, epsilon, tracer)
         if trace:
-            # The certificate is checked only where the norm rule failed.
-            if not run.converged:
-                stopped_by = "budget"
-            elif run.final_norm <= self.tolerance:
-                stopped_by = "norm"
-            elif run.polished:
-                stopped_by = "newton"
-            else:
-                stopped_by = "certificate"
             tracer.emit(
                 "solver.class_done",
                 converged=converged,
                 iterations=len(run.norms),
                 final_norm=run.final_norm,
-                stopped_by=stopped_by,
+                stopped_by=run.stopped_by(self.tolerance),
             )
         return ClassNashResult(
             class_fractions=final,
@@ -909,11 +921,15 @@ class ClassNashSolver:
         # parity) and only the certificate accounting differs.
         sample_k = 0 if self.sample_k is None else self.sample_k
         sampling = 0 < sample_k < n
-        # Multi-member classes trade load along directions that barely
-        # move anyone's cost, so the norm stalls long after the
-        # certificate holds.  Singleton (NashSolver) and sampled solves
-        # never check it: a sampled player lacks the information.
-        certify = not singleton and not sampling
+        # The norm lags the certificate (multi-member classes trade load
+        # along directions that barely move anyone's cost, so theirs
+        # stalls), so exact solves check the certificate unless the
+        # caller asked for the paper's rule.  Sampled solves never do: a
+        # sampled player lacks the information.  A k >= n per-user solve
+        # keeps the norm rule, whose sweeps are the poll baseline.
+        certify = self.stop == "certificate" and (
+            self.sample_k is None or not (singleton or sampling)
+        )
         # The polish is a centralised Newton solve: a sample_k solve, even
         # with k >= n, models what best-replying players observe and pay
         # for in polls, so it keeps to sweeps.

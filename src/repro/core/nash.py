@@ -3,8 +3,15 @@
 Users take turns, round-robin, replacing their strategy with the exact
 best response (the OPTIMAL algorithm) against the current strategies of
 everyone else.  A sweep accumulates ``norm += |D_j^{(l)} - D_j^{(l-1)}|``
-over the users; the iteration stops once a full sweep moves the users'
-expected response times by less than the acceptance tolerance ``eps``.
+over the users; the paper's iteration stops once a full sweep moves the
+users' expected response times by less than the acceptance tolerance
+``eps``.  That is ``stop="norm"``, which every caller that reproduces a
+paper trajectory passes (:func:`compute_nash_equilibrium`, Figures 2-3,
+the NASH scheme).  The default, ``stop="certificate"``, also stops once
+the epsilon-Nash certificate of the sweep iterate, or of its Newton
+polish on the Theorem 2.1 KKT system, is within ``eps``: checked after
+sweeps 1, 2, 4, 8, ..., it certifies a cold solve after one sweep where
+the norm needs ~80 (docs/PERFORMANCE.md, "Per-user certificate stop").
 
 Two initializations from the paper's Sec. 4.2.1:
 
@@ -42,6 +49,7 @@ from repro.core.classes import (
     DEFAULT_TOLERANCE,
     ClassAggregation,
     ClassNashSolver,
+    StopRule,
     SweepHook,
     UpdateOrder,
     certify_sample,
@@ -62,6 +70,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "DEFAULT_MAX_SWEEPS",
     "Initialization",
+    "StopRule",
     "UpdateOrder",
     "NashResult",
     "NashSolver",
@@ -98,8 +107,11 @@ class NashResult:
     profile:
         The final strategy profile (the Nash equilibrium on convergence).
     converged:
-        Whether the sweep norm fell below the tolerance within the sweep
-        budget.
+        Whether the solve met its stop rule within the sweep budget: the
+        sweep norm fell below the tolerance, or (``stop="certificate"``)
+        the epsilon-Nash certificate did, of the last sweep iterate or of
+        its Newton polish, which is then ``profile``.  ``stop="norm"``
+        is the paper's rule alone.
     iterations:
         Number of completed sweeps (one sweep = every user updates once;
         this is the x-axis of the paper's Figure 2 and the y-axis of
@@ -137,7 +149,8 @@ class NashSolver:
     Parameters
     ----------
     tolerance:
-        Acceptance tolerance ``eps`` on the per-sweep norm.
+        Acceptance tolerance ``eps`` on the per-sweep norm and, under the
+        certificate stop, on the epsilon-Nash certificate.
     max_sweeps:
         Sweep budget; exceeding it returns ``converged=False`` rather than
         raising, because partial profiles remain informative (the paper
@@ -165,7 +178,15 @@ class NashSolver:
         sweep.  ``k >= n`` takes the exact full-information code path —
         bit-for-bit identical profiles — while still attaching the
         :class:`~repro.core.sampled.SampleCertificate` with the
-        full-information poll baseline.
+        full-information poll baseline.  Sampled solves keep the norm
+        rule whatever ``stop`` says.
+    stop:
+        ``"certificate"`` (default) also stops an exact solve once the
+        epsilon-Nash certificate of a sweep iterate or of its Newton
+        polish is within ``tolerance`` (see
+        :class:`~repro.core.classes.ClassNashSolver`); ``"norm"`` is the
+        paper's sweep-norm rule alone, for callers that reproduce its
+        trajectories.
     """
 
     tolerance: float = DEFAULT_TOLERANCE
@@ -174,6 +195,7 @@ class NashSolver:
     order: UpdateOrder = "roundrobin"
     seed: int = 0
     sample_k: int | None = None
+    stop: StopRule = "certificate"
 
     def __post_init__(self) -> None:
         self._engine()  # validates the configuration
@@ -186,6 +208,7 @@ class NashSolver:
             seed=self.seed,
             record_history=self.record_history,
             sample_k=self.sample_k,
+            stop=self.stop,
         )
 
     def solve(
@@ -204,7 +227,8 @@ class NashSolver:
         with :func:`repro.telemetry.use_tracer`) records one
         ``solver.sweep`` event per sweep — the norm, the per-user regrets
         ``|D_j^{(l)} - D_j^{(l-1)}|`` and the kernel wall time — plus
-        ``solver.start``/``solver.done`` bracketing events.  With the
+        ``solver.start``/``solver.done`` bracketing events and a
+        ``solver.polish`` event per Newton polish.  With the
         default no-op sink the instrumentation reduces to one branch per
         sweep (see docs/OBSERVABILITY.md for the overhead guarantee).
         """
@@ -242,7 +266,9 @@ class NashSolver:
             on_sweep = emit_sweep
 
         users = ClassAggregation.of_users(system)
-        run = self._engine().run_sweeps(users, profile.fractions, on_sweep)
+        run = self._engine().run_sweeps(
+            users, profile.fractions, on_sweep, tracer=tracer
+        )
         converged = run.converged
         final = StrategyProfile(run.flows / phi[:, None])
         try:
@@ -265,6 +291,7 @@ class NashSolver:
                 converged=converged,
                 iterations=len(run.norms),
                 final_norm=run.final_norm,
+                stopped_by=run.stopped_by(self.tolerance),
             )
         return NashResult(
             profile=final,
@@ -285,7 +312,11 @@ def compute_nash_equilibrium(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     record_history: bool = False,
 ) -> NashResult:
-    """One-call façade over :class:`NashSolver`.
+    """One-call façade over :class:`NashSolver` with the paper's stop rule.
+
+    The sweeps run until their norm falls below ``tolerance``
+    (``stop="norm"``), so ``iterations`` and ``norm_history`` are the
+    paper's NASH loop, sweep for sweep.
 
     >>> from repro.workloads import paper_table1_system
     >>> result = compute_nash_equilibrium(paper_table1_system(utilization=0.6))
@@ -293,6 +324,9 @@ def compute_nash_equilibrium(
     True
     """
     solver = NashSolver(
-        tolerance=tolerance, max_sweeps=max_sweeps, record_history=record_history
+        tolerance=tolerance,
+        max_sweeps=max_sweeps,
+        record_history=record_history,
+        stop="norm",
     )
     return solver.solve(system, init)

@@ -142,7 +142,9 @@ def converge_bounded(
         raise ValueError("certify_every must be at least 1 (or None)")
 
     if certify_every is None:
-        solver = NashSolver(tolerance=tolerance, max_sweeps=sweep_budget)
+        solver = NashSolver(
+            tolerance=tolerance, max_sweeps=sweep_budget, stop="norm"
+        )
         result = solver.solve(system, init)
         certificate = _certify(system, result.profile)
         certified = certificate is not None and certificate.epsilon <= epsilon
@@ -164,7 +166,9 @@ def converge_bounded(
     certificate: EquilibriumCertificate | None = None
     early_stopped = False
     while remaining > 0:
-        solver = NashSolver(tolerance=tolerance, max_sweeps=min(chunk, remaining))
+        solver = NashSolver(
+            tolerance=tolerance, max_sweeps=min(chunk, remaining), stop="norm"
+        )
         last = solver.solve(system, seed)
         norms.extend(float(n) for n in last.norm_history)
         remaining -= last.iterations

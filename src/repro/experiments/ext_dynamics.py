@@ -126,6 +126,7 @@ def run_update_order_ablation(
             max_sweeps=max_sweeps,
             order=order,  # type: ignore[arg-type]
             seed=7,
+            stop="norm",
         )
         result = solver.solve(system, "proportional")
         rows.append(

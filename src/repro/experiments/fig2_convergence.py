@@ -31,7 +31,9 @@ def run(
     any practical stopping point, as in the paper's semi-log plot.
     """
     system = paper_table1_system(utilization=utilization, n_users=n_users)
-    solver = NashSolver(tolerance=tolerance, max_sweeps=max_sweeps)
+    solver = NashSolver(
+        tolerance=tolerance, max_sweeps=max_sweeps, stop="norm"
+    )
     trajectories = {
         "NASH_0": solver.solve(system, "zero").norm_history,
         "NASH_P": solver.solve(system, "proportional").norm_history,

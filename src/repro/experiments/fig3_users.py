@@ -27,7 +27,9 @@ def _solve_point(
 ) -> dict[str, object]:
     # Top-level function so sweep points pickle under the spawn method.
     m, system, tolerance, max_sweeps = point
-    solver = NashSolver(tolerance=tolerance, max_sweeps=max_sweeps)
+    solver = NashSolver(
+        tolerance=tolerance, max_sweeps=max_sweeps, stop="norm"
+    )
     zero = solver.solve(system, "zero")
     prop = solver.solve(system, "proportional")
     if not (zero.converged and prop.converged):
@@ -61,7 +63,9 @@ def _run_continuation(
         ("prop", "proportional"),
     )
     for m, system, tolerance, max_sweeps in points:
-        solver = NashSolver(tolerance=tolerance, max_sweeps=max_sweeps)
+        solver = NashSolver(
+            tolerance=tolerance, max_sweeps=max_sweeps, stop="norm"
+        )
         results: dict[str, NashResult] = {}
         for column, cold_init in cold_inits:
             init: Initialization | StrategyProfile = cold_init

@@ -71,7 +71,9 @@ class NashScheme(LoadBalancingScheme):
     def allocate(self, system: DistributedSystem) -> SchemeResult:
         if self.aggregate:
             return self._allocate_aggregate(system)
-        solver = NashSolver(tolerance=self.tolerance, max_sweeps=self.max_sweeps)
+        solver = NashSolver(
+            tolerance=self.tolerance, max_sweeps=self.max_sweeps, stop="norm"
+        )
         result = solver.solve(system, self.init)
         certificate = best_response_regrets(system, result.profile)
         return evaluate_profile(

@@ -45,7 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, description in (
         ("summary", "event counts, metrics snapshot, per-layer overview"),
-        ("convergence", "reconstructed norm history, one line per sweep"),
+        (
+            "convergence",
+            "reconstructed norm history, one line per sweep, and why the "
+            "last solve stopped",
+        ),
         ("protocol", "per-kind message counts and overhead accounting"),
         ("engine", "online-engine epochs, degraded windows, SLA totals"),
     ):
@@ -161,14 +165,23 @@ def _render_convergence(
     events: list[TraceEvent],
 ) -> tuple[dict[str, Any], str]:
     norms = reconstruct_norm_history(events)
+    # A later solve's sweeps overwrite the history from index 0, so the
+    # view is of the last solve, and so is its stop reason.
+    stopped_by = None
+    for event in events:
+        if event.name in ("solver.done", "solver.class_done"):
+            stopped_by = event.fields.get("stopped_by")
     payload = {
         "iterations": len(norms),
         "norm_history": norms,
         "final_norm": norms[-1] if norms else None,
+        "stopped_by": stopped_by,
     }
     lines = [f"{'iteration':>9}  norm"]
     for index, norm in enumerate(norms, start=1):
         lines.append(f"{index:>9}  {norm:.6e}")
+    if stopped_by is not None:
+        lines.append(f"stopped by: {stopped_by}")
     return payload, "\n".join(lines)
 
 

@@ -438,11 +438,11 @@ class TestCertificateStop:
     def test_never_checked_where_it_must_not_be(
         self, case, fat_classes, monkeypatch
     ):
-        calls: list[int] = []
+        calls: list[np.ndarray] = []
         real = classes.class_best_response_regrets
 
         def spy(aggregation, class_fractions):
-            calls.append(1)
+            calls.append(np.array(class_fractions, copy=True))
             return real(aggregation, class_fractions)
 
         monkeypatch.setattr(classes, "class_best_response_regrets", spy)
@@ -452,18 +452,33 @@ class TestCertificateStop:
         assert calls
         calls.clear()
 
-        distinct = random_system(np.random.default_rng(3), n_computers=5, n_users=9)
-        if case == "per_user":
-            NashSolver().solve(distinct)
-        elif case == "distinct_rates":
-            agg = aggregate_users(distinct)
-            assert (agg.counts == 1).all()
-            ClassNashSolver().run_sweeps(agg, agg.proportional_fractions())
-        else:
+        if case == "sampled":
             ClassNashSolver(sample_k=2).run_sweeps(
                 fat, fat.proportional_fractions()
             )
+            assert calls == []
+            return
+
+        distinct = random_system(np.random.default_rng(3), n_computers=5, n_users=9)
+        agg = aggregate_users(distinct)
+        assert (agg.counts == 1).all()
+
+        def sweep_iterates(stop):
+            if case == "per_user":
+                result = NashSolver(record_history=True, stop=stop).solve(
+                    distinct
+                )
+                return [p.fractions for p in result.profile_history]
+            solver = ClassNashSolver(record_history=True, stop=stop)
+            return solver.run_sweeps(agg, agg.proportional_fractions()).history
+
+        # The paper's rule never consults the certificate ...
+        assert len(sweep_iterates("norm")) > 1
         assert calls == []
+        # ... and the default checks it first on the sweep-1 iterate.
+        history = sweep_iterates("certificate")
+        assert calls
+        np.testing.assert_array_equal(calls[0], history[0])
 
 
 class TestSolverConfig:
@@ -500,10 +515,18 @@ class TestTracing:
         assert names.count("solver.class_done") == 1
 
     @pytest.mark.parametrize(
-        ("case", "stopped_by"),
-        [("distinct", "norm"), ("fat", "certificate"), ("short", "budget")],
+        ("case", "stop", "stopped_by"),
+        [
+            ("distinct", "norm", "norm"),
+            ("distinct", "certificate", "newton"),
+            ("fat", "certificate", "certificate"),
+            ("short", "norm", "budget"),
+        ],
+        ids=["distinct-norm", "distinct-newton", "fat-certificate", "short-budget"],
     )
-    def test_done_event_says_why_the_solve_stopped(self, case, stopped_by):
+    def test_done_event_says_why_the_solve_stopped(
+        self, case, stop, stopped_by
+    ):
         from repro.telemetry.sinks import InMemorySink
         from repro.telemetry.trace import Tracer
 
@@ -515,7 +538,7 @@ class TestTracing:
             )
         max_sweeps = 1 if case == "short" else 500
         sink = InMemorySink()
-        result = ClassNashSolver(max_sweeps=max_sweeps).solve(
+        result = ClassNashSolver(max_sweeps=max_sweeps, stop=stop).solve(
             aggregate_users(system), tracer=Tracer(sink)
         )
         (done,) = [e for e in sink.events if e.name == "solver.class_done"]

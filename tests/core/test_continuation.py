@@ -148,7 +148,7 @@ class TestWarmStartProfile:
         )
         warm = warm_start_profile(degraded, previous, previous_system=full)
         assert warm is not None
-        solver = NashSolver()
+        solver = NashSolver(stop="norm")
         warm_run = solver.solve(degraded, warm)
         cold_run = solver.solve(degraded, "proportional")
         assert warm_run.converged and cold_run.converged

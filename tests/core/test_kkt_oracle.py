@@ -26,7 +26,8 @@ fill and, row by row, the batch kernels ``optimal_fractions_batch`` and
 
 The Newton polish (``newton_polish``) is checked the same way, one class
 row at a time against the availability the rest of the polished profile
-leaves it, and against whole reference solves.
+leaves it, and against whole reference solves; so is the default
+(certificate-stop) per-user solve on the same edges.
 """
 
 from __future__ import annotations
@@ -47,9 +48,12 @@ from repro.core.classes import (
     _symmetric_class_fill,
     newton_polish,
 )
+from repro.core.equilibrium import best_response_regrets
 from repro.core.model import DistributedSystem
+from repro.core.nash import NashSolver
 from repro.core.reference import reference_solve
 from repro.core.sampled import sampled_best_reply, sampled_best_reply_batch
+from repro.core.strategy import StrategyProfile
 from repro.core.waterfill import sqrt_waterfill, sqrt_waterfill_inplace
 from repro.distributed.network import MessageBus
 from repro.distributed.node import ComputerBoard, UserAgent
@@ -334,9 +338,8 @@ def class_system(
 
 def sweep_iterate(aggregation: ClassAggregation, sweeps: int = 1) -> np.ndarray:
     """Class-total flows after ``sweeps`` best-reply sweeps (unpolished)."""
-    run = ClassNashSolver(max_sweeps=sweeps, record_history=True).solve(
-        aggregation
-    )
+    solver = ClassNashSolver(max_sweeps=sweeps, record_history=True, stop="norm")
+    run = solver.solve(aggregation)
     return run.history[-1] * aggregation.demands[:, None]
 
 
@@ -490,4 +493,113 @@ class TestPolishMatchesReferenceSolves:
             aggregation.expand(polished / aggregation.demands[:, None]).fractions,
             reference.profile.fractions,
             rtol=0.0, atol=1e-9,
+        )
+
+
+def user_system(
+    mu: list[float] | np.ndarray, rates: list[float] | np.ndarray, utilization: float
+) -> DistributedSystem:
+    """Users at relative job ``rates``, scaled to ``utilization``."""
+    mu = np.asarray(mu, dtype=float)
+    phi = np.asarray(rates, dtype=float)
+    return DistributedSystem(
+        service_rates=mu, arrival_rates=phi * (utilization * mu.sum() / phi.sum())
+    )
+
+
+def _with_boundary_computer(system: DistributedSystem) -> DistributedSystem:
+    """``system`` plus an idle computer exactly on the support boundary.
+
+    Its marginal cost at zero flow, ``1 / mu``, equals the highest user
+    multiplier ``nu_j`` of the equilibrium, so it carries no flow.
+    """
+    equilibrium = reference_solve(system, tolerance=1e-15, max_sweeps=5000)
+    x = equilibrium.profile.fractions * system.arrival_rates[:, None]
+    h = system.service_rates - x.sum(axis=0)
+    on = x > 0.0
+    nu = np.where(on, (h + x) / h**2, 0.0).sum(axis=1) / on.sum(axis=1)
+    return DistributedSystem(
+        service_rates=np.append(system.service_rates, 1.0 / nu.max()),
+        arrival_rates=system.arrival_rates,
+    )
+
+
+_USER_RNG = np.random.default_rng(11)
+_TIED_USERS = user_system(
+    [3.0, 3.0, 5.0, 5.0, 5.0], [1.0, 1.0, 2.0, 2.0, 2.0, 2.0], 0.9
+)
+#: Per-user analogues of ``POLISH_CASES``: (system, initialization).
+USER_CASES: dict[str, tuple[DistributedSystem, str | StrategyProfile]] = {
+    "utilization_1-1e-9": (
+        user_system(
+            _USER_RNG.uniform(10.0, 100.0, 8), _USER_RNG.uniform(0.5, 2.0, 5),
+            1.0 - 1e-9,
+        ),
+        "proportional",
+    ),
+    "mu_ratio_1e6": (
+        user_system([1.0, 1e6, 1e3, 10.0, 1e6, 1.0], [1.0, 1.7, 0.6, 1.2], 0.7),
+        "zero",
+    ),
+    "mu_ratio_1e6_light": (user_system([1.0, 1e6], [1.0, 2.0], 1e-6), "zero"),
+    "n1": (user_system([42.0], [1.0, 1.0, 3.0], 0.99), "proportional"),
+    "tied_rates": (_TIED_USERS, "zero"),
+    "support_boundary": (_with_boundary_computer(_TIED_USERS), "proportional"),
+    # User 0 starts with all its flow on computer 0, which has no
+    # headroom left: the first sweep must repair the start.
+    "zero_headroom": (
+        DistributedSystem(service_rates=[1.0, 2.0, 3.0], arrival_rates=[1.0, 0.5]),
+        StrategyProfile(np.array([[1.0, 0.0, 0.0], [1 / 6, 1 / 3, 1 / 2]])),
+    ),
+}
+
+
+def _edge_tolerance(reference) -> float:
+    """1e-6, relative to the time scale once times exceed 1.
+
+    The certificate is an absolute regret, and its rounding floor grows
+    with the times: at utilization ``1 - 1e-9`` they are ~2e7.
+    """
+    return 1e-6 * max(1.0, float(reference.user_times.max()))
+
+
+class TestDefaultSolverOnTheEdges:
+    """The default per-user solve certifies and lands on the reference."""
+
+    @pytest.mark.parametrize("name", sorted(USER_CASES))
+    def test_certifies_and_matches_the_reference(self, name):
+        system, init = USER_CASES[name]
+        reference = reference_solve(system, tolerance=1e-15, max_sweeps=5000)
+        assert reference.converged
+        solver = NashSolver(tolerance=_edge_tolerance(reference))
+        result = solver.solve(system, init)
+        assert result.converged
+        certificate = best_response_regrets(system, result.profile)
+        assert certificate.epsilon <= solver.tolerance
+        np.testing.assert_allclose(
+            result.profile.fractions, reference.profile.fractions,
+            rtol=0.0, atol=1e-9,
+        )
+
+    @pytest.mark.parametrize("name", sorted(USER_CASES))
+    def test_without_the_polish_it_truncates_the_norm_run(self, name, monkeypatch):
+        system, init = USER_CASES[name]
+        reference = reference_solve(system, tolerance=1e-15, max_sweeps=5000)
+        tolerance = _edge_tolerance(reference)
+        norm_run = NashSolver(
+            tolerance=tolerance, record_history=True, stop="norm"
+        ).solve(system, init)
+        monkeypatch.setattr(classes, "newton_polish", lambda *args: None)
+        default = NashSolver(tolerance=tolerance, record_history=True).solve(
+            system, init
+        )
+        assert default.iterations <= norm_run.iterations
+        np.testing.assert_array_equal(
+            default.norm_history, norm_run.norm_history[: default.iterations]
+        )
+        for ours, theirs in zip(default.profile_history, norm_run.profile_history):
+            np.testing.assert_array_equal(ours.fractions, theirs.fractions)
+        np.testing.assert_array_equal(
+            default.profile.fractions,
+            norm_run.profile_history[default.iterations - 1].fractions,
         )

@@ -51,6 +51,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             NashSolver(max_sweeps=0)
 
+    def test_rejects_unknown_stop_rule(self):
+        with pytest.raises(ValueError, match="stop rule"):
+            NashSolver(stop="sweeps")  # type: ignore[arg-type]
+
 
 class TestConvergence:
     def test_converges_on_table1(self, table1_medium):

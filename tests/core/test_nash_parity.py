@@ -25,7 +25,9 @@ ORDERS = ("roundrobin", "random", "simultaneous")
 
 
 def assert_parity(system, *, order, init="proportional", max_sweeps=500):
-    solver = NashSolver(order=order, max_sweeps=max_sweeps, record_history=True)
+    solver = NashSolver(
+        order=order, max_sweeps=max_sweeps, record_history=True, stop="norm"
+    )
     fast = solver.solve(system, init)
     slow = reference_solve(
         system, init, order=order, max_sweeps=max_sweeps, record_history=True

@@ -139,7 +139,7 @@ class TestFullInformationParity:
     def test_per_user_solver(self, order):
         system = paper_table1_system(utilization=0.6, n_users=5)
         n = system.n_computers
-        exact = NashSolver(order=order, seed=3).solve(system)
+        exact = NashSolver(order=order, seed=3, stop="norm").solve(system)
         sampled = NashSolver(order=order, seed=3, sample_k=n).solve(system)
         np.testing.assert_array_equal(
             sampled.profile.fractions, exact.profile.fractions

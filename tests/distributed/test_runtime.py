@@ -23,11 +23,11 @@ from repro.workloads.configs import paper_table1_system
 #: Ring drivers against the sequential solver they must reproduce:
 #: ``(label, protocol(system), NashSolver keyword arguments)``.
 _RING_CASES = [
-    ("reliable", run_nash_protocol, {}),
+    ("reliable", run_nash_protocol, {"stop": "norm"}),
     (
         "lossy",
         lambda system: run_nash_protocol_lossy(system, drop=0.1, duplicate=0.05),
-        {},
+        {"stop": "norm"},
     ),
 ] + [
     (

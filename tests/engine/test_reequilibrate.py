@@ -77,7 +77,9 @@ class TestBoundedConvergence:
         )
         assert outcome.certified
         assert outcome.early_stopped
-        full = NashSolver(tolerance=1e-12).solve(SYSTEM, "proportional")
+        full = NashSolver(tolerance=1e-12, stop="norm").solve(
+            SYSTEM, "proportional"
+        )
         assert outcome.sweeps < full.iterations
 
     def test_unchunked_path_matches_plain_solver_exactly(self):
@@ -89,7 +91,7 @@ class TestBoundedConvergence:
             sweep_budget=500,
             certify_every=None,
         )
-        plain = NashSolver(tolerance=TOL, max_sweeps=500).solve(
+        plain = NashSolver(tolerance=TOL, max_sweeps=500, stop="norm").solve(
             SYSTEM, "proportional"
         )
         assert outcome.result.iterations == plain.iterations

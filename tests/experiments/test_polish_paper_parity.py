@@ -1,10 +1,11 @@
 """The paper's code paths never reach the Newton polish.
 
 Fig. 2 and Fig. 3 count the paper's best-reply sweeps, and every paper
-artifact must stay bit-identical, so the polish is confined to the
-engine's chunked solves and multi-member exact class solves.  Here the
-polish raises wherever it is bound: each paper entry point must still
-run, and produce exactly what it produces with the polish in place.
+artifact must stay bit-identical, so the paper's entry points solve with
+``stop="norm"`` and the polish is confined to the engine's chunked
+solves and to solves with the default certificate stop.  Here the polish
+raises wherever it is bound: each paper entry point must still run, and
+produce exactly what it produces with the polish in place.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from repro.core import classes
 from repro.core.dynamics import run_dynamic_balancing
 from repro.core.nash import compute_nash_equilibrium
 from repro.engine import reequilibrate
-from repro.experiments import fig2_convergence, fig3_users
+from repro.experiments import ext_dynamics, fig2_convergence, fig3_users
+from repro.schemes import NashScheme
 from repro.workloads import paper_table1_system
 
 
@@ -47,10 +49,31 @@ def _dynamics():
     )
 
 
+def _nash_scheme():
+    allocation = NashScheme().allocate(paper_table1_system(utilization=0.7))
+    return allocation.profile.fractions, allocation.extra
+
+
+def _converge_unchunked():
+    outcome = reequilibrate.converge_bounded(
+        paper_table1_system(utilization=0.7),
+        "proportional",
+        tolerance=1e-6,
+        epsilon=1e-6,
+        sweep_budget=500,
+        certify_every=None,
+    )
+    result = outcome.result
+    return result.profile.fractions, result.norm_history, result.iterations
+
+
 ENTRY_POINTS = {
+    "abl3_update_order": lambda: ext_dynamics.run_update_order_ablation().rows,
     "compute_nash_equilibrium": _nash,
+    "converge_bounded_unchunked": _converge_unchunked,
     "fig2_convergence": lambda: fig2_convergence.run().rows,
     "fig3_users": lambda: fig3_users.run().rows,
+    "nash_scheme_allocate": _nash_scheme,
     "run_dynamic_balancing": _dynamics,
 }
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.nash import NashSolver
 from repro.distributed.runtime import run_nash_protocol
 from repro.engine import ComputerFailure, ComputerReopen, OnlineEquilibriumEngine
 from repro.experiments.shm import SharedArrayPlane, shm_available
@@ -70,6 +71,25 @@ class TestConvergence:
         out = capsys.readouterr().out
         # Header plus one line per iteration.
         assert len(out.strip().splitlines()) == outcome.result.iterations + 1
+
+    @pytest.mark.parametrize(
+        ("stop", "stopped_by"), [("certificate", "newton"), ("norm", "norm")]
+    )
+    def test_reports_why_the_solve_stopped(
+        self, tmp_path, capsys, stop, stopped_by
+    ):
+        path = tmp_path / "solver.trace.jsonl"
+        system = paper_table1_system(utilization=0.6, n_users=4)
+        with trace_to_file(path) as tracer:
+            result = NashSolver(stop=stop).solve(system, tracer=tracer)
+        assert main(["convergence", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stopped_by"] == stopped_by
+        assert payload["iterations"] == result.iterations
+        assert main(["convergence", str(path)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[-1] == f"stopped by: {stopped_by}"
+        assert len(lines) == result.iterations + 2
 
 
 class TestProtocol:
