@@ -6,17 +6,18 @@ reopen window, a flash crowd) is re-equilibrated epoch by epoch either
 
 * ``_cold`` — legacy service mode: every epoch re-solves from the
   proportional profile to full sweep-norm convergence
-  (``warm_mode='off'``, no certificate early stop), or
-* ``_warm`` — engine mode: every epoch warm-starts from the previous
-  equilibrium (with failure/reopen column remapping) and stops as soon
-  as an ``best_response_regrets`` certificate meets the same epsilon
-  (``certify_every=8``).
+  (``warm_mode='off'``, ``stop='norm'``: the paper's rule alone), or
+* ``_warm`` — engine mode (the default ``EngineConfig``): every epoch
+  warm-starts from the previous equilibrium (with failure/reopen column
+  remapping) and stops as soon as the epsilon-Nash certificate of a
+  sweep iterate, or of its Newton polish, meets the same epsilon.
 
 Both sides certify every epoch at the solver's standard 1e-6 epsilon —
-tests/engine/test_service.py pins the certificate parity — so the
-recorded ``_cold``/``_warm`` speedup measures pure incremental savings,
-not accuracy traded away.  CI gates the ratio at >= 2x via
-``benchmarks/bench_gate.py --min-churn-speedup`` (measured ~5x; see
+``tests/engine/test_online_engine.py::TestCertificateParityWithColdSolves``
+pins the certificate parity — so the recorded ``_cold``/``_warm``
+speedup measures incremental savings, not accuracy traded away.  CI
+gates the ratio at >= 2x via ``benchmarks/bench_gate.py
+--min-churn-speedup`` (the last recorded run read ~39x; see
 docs/PERFORMANCE.md).
 """
 
@@ -49,7 +50,7 @@ def _run(config: EngineConfig):
 @engine_churn
 def test_bench_engine_churn_cold(benchmark):
     run = benchmark.pedantic(
-        lambda: _run(EngineConfig(warm_mode="off", certify_every=None)),
+        lambda: _run(EngineConfig(warm_mode="off", stop="norm")),
         rounds=3,
         iterations=1,
     )
@@ -60,7 +61,7 @@ def test_bench_engine_churn_cold(benchmark):
 @engine_churn
 def test_bench_engine_churn_warm(benchmark):
     run = benchmark.pedantic(
-        lambda: _run(EngineConfig(warm_mode="repair", certify_every=8)),
+        lambda: _run(EngineConfig()),
         rounds=3,
         iterations=1,
     )

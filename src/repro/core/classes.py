@@ -454,12 +454,14 @@ def class_best_response_regrets(
     )
 
 
-def _epsilon(aggregation: ClassAggregation, class_fractions: FloatArray) -> float:
-    """The certificate's epsilon; ``inf`` for an unstable (Jacobi) profile."""
+def _certificate(
+    aggregation: ClassAggregation, class_fractions: FloatArray
+) -> ClassEquilibriumCertificate | None:
+    """The certificate; ``None`` for an unstable (Jacobi) profile."""
     try:
-        return class_best_response_regrets(aggregation, class_fractions).epsilon
+        return class_best_response_regrets(aggregation, class_fractions)
     except ValueError:
-        return float("inf")
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -645,7 +647,9 @@ class SweepRun:
     each sweep (when recorded) and ``polls`` the availability probes of
     a ``sample_k`` solve (the full-information baseline when
     ``k >= n``).  ``polished`` marks a run whose final ``flows`` are a
-    certified :func:`newton_polish` of the last sweep iterate.
+    certified :func:`newton_polish` of the last sweep iterate, and
+    ``certificate`` is the certificate of the final ``flows`` of a
+    converged certificate-stop run (``None`` otherwise).
     """
 
     flows: FloatArray
@@ -654,6 +658,7 @@ class SweepRun:
     history: list[FloatArray]
     polls: int
     polished: bool = False
+    certificate: ClassEquilibriumCertificate | None = None
 
     @property
     def final_norm(self) -> float:
@@ -863,7 +868,8 @@ class ClassNashSolver:
             converged = False
         sample: SampleCertificate | None = None
         if self.sample_k is not None:
-            epsilon = _epsilon(aggregation, final)
+            certificate = _certificate(aggregation, final)
+            epsilon = float("inf") if certificate is None else certificate.epsilon
             sample = certify_sample(run, self.sample_k, n, epsilon, tracer)
         if trace:
             tracer.emit(
@@ -958,6 +964,7 @@ class ClassNashSolver:
         history: list[FloatArray] = []
         converged = False
         polished = False
+        accepted: ClassEquilibriumCertificate | None = None
         for sweep in range(self.max_sweeps):
             lam = flows.sum(axis=0)
             started = perf_counter() if on_sweep is not None else 0.0
@@ -1043,12 +1050,14 @@ class ClassNashSolver:
                 history.append(flows / demands[:, None])
             if norm <= self.tolerance:
                 converged = True
+                if certify:
+                    accepted = _certificate(aggregation, flows / demands[:, None])
                 break
             done = len(norms)
             if certify and done & (done - 1) == 0:  # sweeps 1, 2, 4, 8, ...
-                epsilon = _epsilon(aggregation, flows / demands[:, None])
-                if epsilon <= self.tolerance:
-                    converged = True
+                certificate = _certificate(aggregation, flows / demands[:, None])
+                if certificate is not None and certificate.epsilon <= self.tolerance:
+                    converged, accepted = True, certificate
                     break
                 candidate = (
                     self._certified_polish(aggregation, flows, tracer)
@@ -1056,7 +1065,7 @@ class ClassNashSolver:
                     else None
                 )
                 if candidate is not None:
-                    flows = candidate
+                    flows, accepted = candidate
                     converged = polished = True
                     break
 
@@ -1071,6 +1080,7 @@ class ClassNashSolver:
             history=history,
             polls=polls,
             polished=polished,
+            certificate=accepted,
         )
 
     def _certified_polish(
@@ -1078,18 +1088,22 @@ class ClassNashSolver:
         aggregation: ClassAggregation,
         flows: FloatArray,
         tracer: Tracer | None,
-    ) -> FloatArray | None:
-        """The :func:`newton_polish` of ``flows``, if it certifies."""
+    ) -> tuple[FloatArray, ClassEquilibriumCertificate] | None:
+        """The :func:`newton_polish` of ``flows`` and its certificate, if
+        that certifies."""
         stats = PolishStats()
         candidate = newton_polish(aggregation, flows, stats)
-        epsilon = (
-            float("inf")
+        certificate = (
+            None
             if candidate is None
-            else _epsilon(aggregation, candidate / aggregation.demands[:, None])
+            else _certificate(aggregation, candidate / aggregation.demands[:, None])
         )
+        epsilon = float("inf") if certificate is None else certificate.epsilon
         if tracer is not None:
             emit_polish(tracer, stats, candidate, epsilon, self.tolerance)
-        return candidate if epsilon <= self.tolerance else None
+        if candidate is None or certificate is None or epsilon > self.tolerance:
+            return None
+        return candidate, certificate
 
 
 # ----------------------------------------------------------------------

@@ -165,8 +165,8 @@ def project_profile(
 
     if fallback_rates is not None:
         weights = np.asarray(fallback_rates, dtype=float)[mask]
-        if np.any(weights <= 0.0):
-            raise ValueError("fallback rates must be positive")
+        if not np.all(np.isfinite(weights) & (weights > 0.0)):
+            raise ValueError("fallback rates must be positive and finite")
     else:
         weights = np.ones(int(mask.sum()))
     fallback_row = np.zeros(s.shape[1])

@@ -12,8 +12,8 @@ Since the online engine landed, this module is a thin snapshot-driven
 wrapper over :class:`repro.engine.OnlineEquilibriumEngine`: each
 snapshot is diffed against the engine's fleet state into one churn epoch
 (capacity changes plus a wholesale demand replacement) and solved with
-the legacy semantics — ``certify_every=None`` for a single
-uninterrupted solver call, ``warm_mode="strict"`` for the historical
+the legacy semantics — ``stop="norm"`` for the paper's sweep-norm
+rule alone, ``warm_mode="strict"`` for the historical
 "reuse the previous profile only when shape-compatible and feasible"
 rule — so results are identical to the pre-engine implementation while
 there is only one re-equilibration code path in the repo.
@@ -113,7 +113,7 @@ def run_dynamic_balancing(
     config = EngineConfig(
         tolerance=tolerance,
         sweep_budget=max_sweeps,
-        certify_every=None,
+        stop="norm",
         warm_mode="strict" if warm_start else "off",
         cold_init=cold_init,
     )

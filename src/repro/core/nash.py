@@ -54,7 +54,7 @@ from repro.core.classes import (
     UpdateOrder,
     certify_sample,
 )
-from repro.core.equilibrium import best_response_regrets
+from repro.core.equilibrium import EquilibriumCertificate, best_response_regrets
 from repro.core.model import DistributedSystem
 # The per-user sampled replies stay importable from here: a sampled
 # NashSolver solve runs them through the sweep engine.
@@ -121,6 +121,10 @@ class NashResult:
         |D_j^{(l+1)} - D_j^{(l)}|``.
     user_times:
         Per-user expected response times under the final profile.
+    certificate:
+        The epsilon-Nash certificate of ``profile`` when an exact
+        ``stop="certificate"`` solve converged (by either rule), else
+        ``None``.
     profile_history:
         Profiles after each sweep (present only when recorded).
     sample:
@@ -136,6 +140,7 @@ class NashResult:
     user_times: FloatArray
     profile_history: tuple[StrategyProfile, ...] = field(default=())
     sample: SampleCertificate | None = None
+    certificate: EquilibriumCertificate | None = None
 
     @property
     def final_norm(self) -> float:
@@ -271,13 +276,25 @@ class NashSolver:
         )
         converged = run.converged
         final = StrategyProfile(run.flows / phi[:, None])
-        try:
-            user_times = system.user_response_times(final.fractions)
-        except ValueError:
-            # Only reachable with the simultaneous (Jacobi) order, which
-            # can overshoot into an unstable joint profile mid-oscillation.
-            user_times = np.full(m, np.inf)
-            converged = False
+        certificate: EquilibriumCertificate | None = None
+        if run.certificate is not None:
+            # Singleton classes: the class certificate is the per-user one.
+            certificate = EquilibriumCertificate(
+                regrets=run.certificate.regrets,
+                user_times=run.certificate.class_times,
+                best_response_times=run.certificate.best_response_times,
+                epsilon=run.certificate.epsilon,
+            )
+            user_times = certificate.user_times
+        else:
+            try:
+                user_times = system.user_response_times(final.fractions)
+            except ValueError:
+                # Only reachable with the simultaneous (Jacobi) order,
+                # which can overshoot into an unstable joint profile
+                # mid-oscillation.
+                user_times = np.full(m, np.inf)
+                converged = False
         sample: SampleCertificate | None = None
         if self.sample_k is not None:
             try:
@@ -301,6 +318,7 @@ class NashSolver:
             user_times=user_times,
             profile_history=tuple(StrategyProfile(f) for f in run.history),
             sample=sample,
+            certificate=certificate,
         )
 
 

@@ -12,9 +12,10 @@ state and equilibrium profile and consumes a churn trace epoch by epoch:
    :func:`repro.core.continuation.warm_start_profile` — including
    across computer failures and reopenings, which re-split the failed
    or recovered computer's aggregate load instead of cold-starting;
-3. the solve runs under a sweep budget with an epsilon-certificate
-   early stop (:func:`repro.engine.reequilibrate.converge_bounded`),
-   so a pathological epoch costs bounded work, never a stalled loop;
+3. the solve is one :class:`~repro.core.nash.NashSolver` solve under a
+   sweep budget that stops on the epsilon-Nash certificate
+   (:func:`repro.engine.reequilibrate.converge_bounded`), so a
+   pathological epoch costs bounded work, never a stalled loop;
 4. capacity exhaustion (up to and including every computer down) is a
    *degraded hold*: the typed
    :class:`~repro.core.degradation.CapacityExhausted` is surfaced on
@@ -47,6 +48,7 @@ from repro.core.nash import (
     DEFAULT_TOLERANCE,
     Initialization,
     NashResult,
+    StopRule,
 )
 from repro.core.strategy import StrategyProfile
 from repro.engine.events import ChurnEpoch, ChurnEvent, as_epoch, event_kind
@@ -79,20 +81,17 @@ class EngineConfig:
     Parameters
     ----------
     tolerance:
-        Sweep-norm acceptance tolerance of each solve (the solver's
-        ``eps``).
-    epsilon:
-        Certificate target: an epoch counts as certified when its
-        maximum best-response regret is at most this.  Defaults to
-        ``tolerance`` — the solver's standard epsilon.
+        Acceptance tolerance of each solve (the solver's ``eps``): on
+        the sweep norm and on the certificate.  An epoch counts as
+        certified when its maximum best-response regret is at most this.
     sweep_budget:
         Hard cap on best-reply sweeps per epoch.
-    certify_every:
-        The fallback cadence: every epoch certifies the Newton polish of
-        its first sweep, and only when that misses ``epsilon`` does it
-        go on sweeping, certifying (and polishing) every
-        ``certify_every`` sweeps.  ``None`` skips the polish and
-        certifies once, after a single uninterrupted solve.
+    stop:
+        The solver's stop rule.  ``"certificate"`` (default) stops on
+        the epsilon-Nash certificate of the sweep iterate or of its
+        Newton polish, checked after sweeps 1, 2, 4, 8, ...;
+        ``"norm"`` is the paper's sweep-norm rule alone, certified once
+        after the solve.
     warm_mode:
         ``"repair"`` adapts the previous equilibrium through the full
         continuation/degradation cascade; ``"strict"`` only reuses it
@@ -105,9 +104,8 @@ class EngineConfig:
     """
 
     tolerance: float = DEFAULT_TOLERANCE
-    epsilon: float | None = None
     sweep_budget: int = DEFAULT_MAX_SWEEPS
-    certify_every: int | None = 16
+    stop: StopRule = "certificate"
     warm_mode: WarmMode = "repair"
     cold_init: Initialization = "proportional"
     sla: SLAPolicy | None = None
@@ -115,18 +113,12 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
         if self.sweep_budget < 1:
             raise ValueError("sweep_budget must be at least 1")
-        if self.certify_every is not None and self.certify_every < 1:
-            raise ValueError("certify_every must be at least 1 (or None)")
+        if self.stop not in ("certificate", "norm"):
+            raise ValueError(f"unknown stop rule {self.stop!r}")
         if self.warm_mode not in ("repair", "strict", "off"):
             raise ValueError(f"unknown warm mode {self.warm_mode!r}")
-
-    @property
-    def certificate_epsilon(self) -> float:
-        return self.tolerance if self.epsilon is None else self.epsilon
 
 
 @dataclass(frozen=True)
@@ -269,8 +261,8 @@ class OnlineEquilibriumEngine:
                 computers=self._state.n_computers,
                 users=self._state.n_users,
                 tolerance=self.config.tolerance,
-                epsilon=self.config.certificate_epsilon,
                 sweep_budget=self.config.sweep_budget,
+                stop=self.config.stop,
                 warm_mode=self.config.warm_mode,
             )
         self.process_epoch(())
@@ -417,9 +409,8 @@ class OnlineEquilibriumEngine:
             effective,
             init,
             tolerance=self.config.tolerance,
-            epsilon=self.config.certificate_epsilon,
             sweep_budget=self.config.sweep_budget,
-            certify_every=self.config.certify_every,
+            stop=self.config.stop,
             tracer=self._resolve_tracer(),
         )
         online = self._state.online.copy()

@@ -95,6 +95,15 @@ class TestProjectProfile:
         np.testing.assert_allclose(projected[0], [0.0, 0.75, 0.25])
         np.testing.assert_allclose(projected[1], [0.0, 0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_fallback_rejected(self, bad):
+        with pytest.raises(ValueError, match="fallback rates"):
+            project_profile(
+                [[0.0, 0.0, 1.0]],
+                [True, True, False],
+                fallback_rates=[1.0, bad, 2.0],
+            )
+
     def test_stranded_row_uniform_without_fallback(self):
         matrix = np.array([[1.0, 0.0, 0.0]])
         mask = np.array([False, True, True])

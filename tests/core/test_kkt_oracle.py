@@ -580,6 +580,26 @@ class TestDefaultSolverOnTheEdges:
             result.profile.fractions, reference.profile.fractions,
             rtol=0.0, atol=1e-9,
         )
+        # The solve's own certificate is the one best_response_regrets
+        # computes.  Regrets are differences of times, so they match to
+        # 1e-12 of the time scale, times mu / headroom: both sides round
+        # the loads once, and the best replies see that rounding divided
+        # by the headroom (at utilization 1 - 1e-9 they differ by ~1e-7
+        # of the time scale).
+        reused = result.certificate
+        assert reused is not None
+        assert reused.epsilon <= solver.tolerance
+        np.testing.assert_allclose(
+            reused.user_times, certificate.user_times, rtol=1e-12, atol=0.0
+        )
+        np.testing.assert_array_equal(result.user_times, reused.user_times)
+        mu = system.service_rates
+        lam = system.loads(result.profile.fractions)
+        conditioning = (mu * expected_response_time(lam, mu)).max()  # mu / headroom
+        scale = float(certificate.user_times.max() * conditioning)
+        np.testing.assert_allclose(
+            reused.regrets, certificate.regrets, rtol=0.0, atol=1e-12 * scale
+        )
 
     @pytest.mark.parametrize("name", sorted(USER_CASES))
     def test_without_the_polish_it_truncates_the_norm_run(self, name, monkeypatch):

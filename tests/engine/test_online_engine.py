@@ -46,7 +46,7 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             EngineConfig(sweep_budget=0)
         with pytest.raises(ValueError):
-            EngineConfig(certify_every=0)
+            EngineConfig(stop="sweeps")  # type: ignore[arg-type]
         with pytest.raises(ValueError):
             EngineConfig(warm_mode="tepid")  # type: ignore[arg-type]
 
@@ -258,6 +258,6 @@ class TestEngineTelemetry:
         assert snapshot["counters"]["engine.degraded_epochs"] == 1
 
     def test_bounded_effort_per_event(self):
-        engine = make_engine(sweep_budget=5, certify_every=2)
+        engine = make_engine(sweep_budget=5)
         report = engine.process_epoch(SetUtilization(0.85))
         assert report.sweeps <= 5

@@ -14,6 +14,7 @@ from repro.experiments.shm import SharedArrayPlane, shm_available
 from repro.telemetry.analysis import engine_summary, pool_summary
 from repro.telemetry.cli import main
 from repro.telemetry.events import TraceEvent
+from repro.telemetry.sinks import read_trace
 from repro.telemetry.trace import trace_to_file, use_tracer
 from repro.workloads.configs import paper_table1_system
 
@@ -129,8 +130,19 @@ class TestEngineView:
         path, run = engine_traced_run
         assert main(["engine", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["polished_epochs"] == run.n_epochs
-        assert sum(payload["polish_outcomes"].values()) >= run.n_epochs
+        # An epoch whose sweep iterate already certifies skips the polish.
+        stopped_by = [
+            event.fields["stopped_by"]
+            for event in read_trace(path)
+            if event.name == "solver.done"
+        ]
+        assert len(stopped_by) == run.n_epochs
+        assert (
+            payload["polished_epochs"] + stopped_by.count("certificate")
+            == run.n_epochs
+        )
+        assert payload["polished_epochs"] == stopped_by.count("newton") > 0
+        assert sum(payload["polish_outcomes"].values()) >= payload["polished_epochs"]
         assert main(["engine", str(path)]) == 0
         assert "Newton polish: certified=" in capsys.readouterr().out
 
