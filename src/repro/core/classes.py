@@ -48,8 +48,11 @@ certificate is within ``tolerance``, whatever its ``final_norm``.  The
 certificate is checked after sweeps 1, 2, 4, 8, ...: first on the sweep
 iterate, then, when that fails, on its :func:`newton_polish` — Newton
 steps on the Theorem 2.1 KKT system, which close the slow last gap of
-the linearly converging sweeps in a few quadratic steps.
-``stop="norm"`` is the paper's rule alone: the sweep norm, nothing else.
+the linearly converging sweeps in a few quadratic steps.  A sampled
+(``sample_k < n``) solve with a multi-member class stops instead on the
+regret its classes observe over the computers they polled, at the same
+checks.  ``stop="norm"`` is the paper's rule alone: the sweep norm,
+nothing else.
 
 See docs/PERFORMANCE.md ("Class-space solving") for when aggregation
 wins and measured numbers.
@@ -68,6 +71,7 @@ from repro.core.best_response import optimal_fractions_batch
 from repro.core.model import DistributedSystem
 from repro.core.sampled import (
     SampleCertificate,
+    check_seed,
     reply_set,
     sample_indices,
     sampled_best_reply,
@@ -602,7 +606,8 @@ def _sampled_class_reply(
     sweep: int,
     index: int,
     k: int,
-) -> tuple[FloatArray, float, int]:
+    observe: bool = False,
+) -> tuple[FloatArray, float, int, float]:
     """One class's reply restricted to ``support ∪ k-sample``.
 
     A singleton class *is* one player, so it goes through
@@ -612,23 +617,59 @@ def _sampled_class_reply(
     intra-class equilibrium over the union — widening deterministically
     when the sampled capacity cannot carry the demand (cold starts).
     Returns the new full-length class-total flow row, the member expected
-    response time and the polls spent.
+    response time, the polls spent and, with ``observe``, the class's
+    :func:`_observed_regret` before the reply (``nan`` otherwise).
     """
+    regret = float("nan")
     if count <= 1.0:
         reply = sampled_best_reply(
             avail, own, demand, seed=seed, sweep=sweep, index=index, k=k
         )
-        return reply.flows, reply.expected_response_time, reply.polls
+        if observe:
+            regret = _observed_regret(avail, own, demand, count, reply.reply_set)
+        return reply.flows, reply.expected_response_time, reply.polls, regret
     n = avail.shape[0]
     indices = sample_indices(seed, sweep, index, n, k)
     chosen = reply_set(own, indices)
     chosen, extra = widen_reply_set(
         chosen, avail, demand, seed=seed, sweep=sweep, index=index
     )
+    if observe:
+        regret = _observed_regret(avail, own, demand, count, chosen)
     flows = np.zeros(n)
     y, d = _symmetric_class_fill(avail[chosen], demand, count)
     flows[chosen] = y
-    return flows, d, int(indices.size) + extra
+    return flows, d, int(indices.size) + extra, regret
+
+
+def _observed_regret(
+    avail: FloatArray,
+    own: FloatArray,
+    demand: float,
+    count: float,
+    chosen: IntArray,
+) -> float:
+    """A class member's regret over the computers its class observed.
+
+    ``avail`` holds the class's foreign-free rates and ``own`` its total
+    flow row, both read only on the reply set ``chosen`` (support ∪
+    sample), which the reply polls anyway.  The member's current expected
+    time, minus its best reply over ``chosen``: one water-fill of
+    ``demand / count`` over the member's foreign-free rates ``avail -
+    own (1 - 1/count)``.  ``inf`` while the class carries no flow (a cold
+    start) or a computer it uses has no headroom.
+    """
+    rates = avail[chosen]
+    flows = own[chosen]
+    headroom = rates - flows
+    support = flows > 0.0
+    if not support.any() or (headroom[support] <= 0.0).any():
+        return float("inf")
+    current = float((flows[support] / headroom[support]).sum()) / demand
+    member = rates - flows * (1.0 - 1.0 / count)
+    out = np.empty_like(member)
+    best, _, _ = sqrt_waterfill_inplace(member, demand / count, out)
+    return current - best
 
 
 #: Per-sweep telemetry hook of the sweep engine, called (only when
@@ -649,7 +690,10 @@ class SweepRun:
     ``k >= n``).  ``polished`` marks a run whose final ``flows`` are a
     certified :func:`newton_polish` of the last sweep iterate, and
     ``certificate`` is the certificate of the final ``flows`` of a
-    converged certificate-stop run (``None`` otherwise).
+    converged exact certificate-stop run (``None`` otherwise).
+    ``sampled_epsilon`` is the largest :func:`_observed_regret` at the
+    last check of a sampled certificate-stop run with a multi-member
+    class (``None`` when none ran).
     """
 
     flows: FloatArray
@@ -659,6 +703,7 @@ class SweepRun:
     polls: int
     polished: bool = False
     certificate: ClassEquilibriumCertificate | None = None
+    sampled_epsilon: float | None = None
 
     @property
     def final_norm(self) -> float:
@@ -690,6 +735,7 @@ def certify_sample(
         polls=run.polls,
         sampled_norm=run.final_norm,
         epsilon=epsilon,
+        sampled_epsilon=run.sampled_epsilon,
     )
     if tracer.enabled:
         tracer.emit(
@@ -700,6 +746,7 @@ def certify_sample(
             polls=sample.polls,
             sampled_norm=sample.sampled_norm,
             epsilon=sample.epsilon,
+            sampled_epsilon=sample.sampled_epsilon,
         )
     return sample
 
@@ -750,10 +797,14 @@ class ClassNashSolver:
     after sweeps 1, 2, 4, 8, ...  A check that fails on the sweep
     iterate is retried on its :func:`newton_polish`, and a polish whose
     own certificate passes is the result.  Neither changes the sweep
-    iterates; they only truncate them.  A ``sample_k`` solve keeps the
-    norm rule: a sampled player lacks the information to certify, and a
-    ``k >= n`` solve models the same polled players (a class one with a
-    multi-member class checks its sweep iterates, never a polish).
+    iterates; they only truncate them.  A ``sample_k`` solve never
+    polishes: it models polled players.  A ``k < n`` solve with a
+    multi-member class, whose players lack the information for the
+    certificate, stops on the regret its classes observe over their
+    reply sets instead (at the same checks, once two in a row are within
+    ``tolerance``; reported as ``SampleCertificate.sampled_epsilon``).  A
+    ``k >= n`` one checks the certificate on its sweep iterates, and a
+    per-user sampled solve (all singletons) keeps the norm rule.
 
     ``sample_k`` switches to power-of-k sampled class replies
     (:mod:`repro.core.sampled`): each class best-responds over its
@@ -782,6 +833,7 @@ class ClassNashSolver:
             raise ValueError(f"unknown stop rule {self.stop!r}")
         if self.sample_k is not None and self.sample_k < 1:
             raise ValueError("sample_k must be at least 1 (or None)")
+        check_seed(self.seed)
 
     def _initial_fractions(
         self,
@@ -936,6 +988,15 @@ class ClassNashSolver:
         certify = self.stop == "certificate" and (
             self.sample_k is None or not (singleton or sampling)
         )
+        # A k < n solve with a multi-member class stops instead on the
+        # regret its classes observe over their reply sets, checked at
+        # the same sweeps and trusted once two checks in a row pass (one
+        # random sample often misses a profitable computer).  Per-user
+        # sampled solves keep the norm rule: the sampled ring protocol
+        # reproduces them sweep for sweep.
+        observe = self.stop == "certificate" and sampling and not singleton
+        observed_passes = 0
+        sampled_epsilon: float | None = None
         # The polish is a centralised Newton solve: a sample_k solve, even
         # with k >= n, models what best-replying players observe and pay
         # for in polls, so it keeps to sweeps.
@@ -968,6 +1029,9 @@ class ClassNashSolver:
         for sweep in range(self.max_sweeps):
             lam = flows.sum(axis=0)
             started = perf_counter() if on_sweep is not None else 0.0
+            check = sweep & (sweep + 1) == 0  # after sweeps 1, 2, 4, 8, ...
+            observing = observe and check
+            worst = -np.inf
             if self.order == "simultaneous":
                 available = (mu - lam)[None, :] + flows
                 if singleton and sampling:
@@ -994,7 +1058,7 @@ class ClassNashSolver:
                     times = np.empty(c)
                     for k in range(c):
                         if sampling:
-                            flows[k], times[k], p = _sampled_class_reply(
+                            flows[k], times[k], p, r = _sampled_class_reply(
                                 available[k],
                                 flows[k],
                                 demand_list[k],
@@ -1003,8 +1067,11 @@ class ClassNashSolver:
                                 sweep=sweep,
                                 index=k,
                                 k=sample_k,
+                                observe=observing,
                             )
                             polls += p
+                            if observing:
+                                worst = max(worst, r)
                         else:
                             flows[k], times[k] = _symmetric_class_fill(
                                 available[k], demand_list[k], counts[k]
@@ -1022,7 +1089,7 @@ class ClassNashSolver:
                     if sampling:
                         np.subtract(mu, lam, out=avail)
                         avail += flows[k]
-                        y, d, p = _sampled_class_reply(
+                        y, d, p, r = _sampled_class_reply(
                             avail,
                             flows[k],
                             demand_list[k],
@@ -1031,8 +1098,11 @@ class ClassNashSolver:
                             sweep=sweep,
                             index=k,
                             k=sample_k,
+                            observe=observing,
                         )
                         polls += p
+                        if observing:
+                            worst = max(worst, r)
                         lam += y - flows[k]
                         flows[k] = y
                     else:
@@ -1048,13 +1118,20 @@ class ClassNashSolver:
                 on_sweep(len(norms) - 1, norm, perf_counter() - started, deltas)
             if self.record_history:
                 history.append(flows / demands[:, None])
+            if observing:
+                sampled_epsilon = worst
+                observed_passes = (
+                    observed_passes + 1 if worst <= self.tolerance else 0
+                )
             if norm <= self.tolerance:
                 converged = True
                 if certify:
                     accepted = _certificate(aggregation, flows / demands[:, None])
                 break
-            done = len(norms)
-            if certify and done & (done - 1) == 0:  # sweeps 1, 2, 4, 8, ...
+            if observed_passes == 2:
+                converged = True
+                break
+            if certify and check:
                 certificate = _certificate(aggregation, flows / demands[:, None])
                 if certificate is not None and certificate.epsilon <= self.tolerance:
                     converged, accepted = True, certificate
@@ -1081,6 +1158,7 @@ class ClassNashSolver:
             polls=polls,
             polished=polished,
             certificate=accepted,
+            sampled_epsilon=sampled_epsilon,
         )
 
     def _certified_polish(

@@ -183,8 +183,11 @@ class NashSolver:
         sweep.  ``k >= n`` takes the exact full-information code path —
         bit-for-bit identical profiles — while still attaching the
         :class:`~repro.core.sampled.SampleCertificate` with the
-        full-information poll baseline.  Sampled solves keep the norm
-        rule whatever ``stop`` says.
+        full-information poll baseline.  Per-user sampled solves keep the
+        norm rule whatever ``stop`` says (the sampled ring protocol
+        reproduces them sweep for sweep); the observed-regret stop of
+        :class:`~repro.core.classes.ClassNashSolver` needs a
+        multi-member class.
     stop:
         ``"certificate"`` (default) also stops an exact solve once the
         epsilon-Nash certificate of a sweep iterate or of its Newton

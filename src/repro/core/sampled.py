@@ -56,6 +56,7 @@ __all__ = [
     "SampleCertificate",
     "SampledBatchReply",
     "SampledReply",
+    "check_seed",
     "reply_set",
     "sample_indices",
     "sampled_best_reply",
@@ -68,6 +69,17 @@ IndexArray = npt.NDArray[np.intp]
 #: Sub-stream tag for the widening permutation, so it never aliases the
 #: sample draw made from ``(seed, sweep, index)``.
 _WIDEN_STREAM = 1
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` if it can seed the sample streams, else ``ValueError``.
+
+    :func:`numpy.random.default_rng` takes only non-negative integers, and
+    it is first called mid-solve, so solvers and agents check up front.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def sample_indices(
@@ -98,8 +110,9 @@ def reply_set(own_flows: FloatArray, indices: IndexArray) -> IndexArray:
     support inside ``R`` is what makes the restricted reply feasible and
     monotone from any stable profile.
     """
-    support = np.flatnonzero(own_flows > 0.0)
-    merged: IndexArray = np.union1d(support, indices).astype(np.intp)
+    mask = own_flows > 0.0
+    mask[indices] = True
+    merged: IndexArray = np.flatnonzero(mask)
     return merged
 
 
@@ -265,7 +278,11 @@ class SampleCertificate:
     """What a sampled solve knew, spent and actually achieved.
 
     ``sampled_norm`` is the last sweep norm *as the sampled players saw
-    it* — movement over reply sets only.  ``epsilon`` is the **true**
+    it* — movement over reply sets only.  ``sampled_epsilon`` is the
+    largest regret the players observed over their reply sets at the
+    last stop-rule check — the epsilon a ``k < n`` class solve with a
+    multi-member class stops on — or ``None`` when no check ran (norm
+    rule, per-user solves, ``k >= n``).  ``epsilon`` is the **true**
     global certificate (max per-user regret against the exact,
     full-information best response), evaluated once at the end: the
     honest answer to "how far from the real Nash equilibrium did partial
@@ -280,6 +297,7 @@ class SampleCertificate:
     polls: int
     sampled_norm: float
     epsilon: float
+    sampled_epsilon: float | None = None
 
     @property
     def full_information(self) -> bool:

@@ -34,6 +34,7 @@ from repro.core.model import DistributedSystem
 from repro.core.nash import DEFAULT_MAX_SWEEPS, DEFAULT_TOLERANCE, Initialization
 from repro.core.sampled import (
     SampleCertificate,
+    check_seed,
     reply_set,
     sample_indices,
     widen_reply_set,
@@ -68,7 +69,7 @@ class SampledUserAgent(UserAgent):
         if sample_k < 1:
             raise ValueError("sample_k must be at least 1")
         self.sample_k = int(sample_k)
-        self._seed = int(seed)
+        self._seed = check_seed(seed)
         #: Completed updates — the agent's local sweep counter, which by
         #: ring construction equals the sequential solver's sweep index
         #: for this user, so both draw identical samples.

@@ -453,9 +453,17 @@ class TestCertificateStop:
         calls.clear()
 
         if case == "sampled":
-            ClassNashSolver(sample_k=2).run_sweeps(
+            # Nor does the observed-regret stop use any full-information
+            # quantity: no certificate, batch best reply or polish.
+            def unreachable(*args, **kwargs):
+                raise AssertionError("a sampled solve left its reply sets")
+
+            monkeypatch.setattr(classes, "optimal_fractions_batch", unreachable)
+            monkeypatch.setattr(classes, "newton_polish", unreachable)
+            run = ClassNashSolver(sample_k=2).run_sweeps(
                 fat, fat.proportional_fractions()
             )
+            assert run.sampled_epsilon is not None
             assert calls == []
             return
 
@@ -481,7 +489,99 @@ class TestCertificateStop:
         np.testing.assert_array_equal(calls[0], history[0])
 
 
+class TestSampledStop:
+    """``sample_k < n`` solves with fat classes stop on the regret their
+    classes observe over their reply sets.
+
+    With the norm rule alone the shape below (a sampled op of the
+    ``solve`` benchmark) runs out the 500-sweep budget: its norm stalls
+    at 3-5e-6 while the true epsilon is below 1e-6 from sweep 1 on.
+    """
+
+    @pytest.fixture
+    def sampled_shape(self) -> ClassAggregation:
+        return aggregate_users(_class_structured_system(3162, 45, 4, 0.575, 1))
+
+    def test_certifies_within_four_sweeps(self, sampled_shape):
+        from repro.telemetry.sinks import InMemorySink
+        from repro.telemetry.trace import Tracer
+
+        sink = InMemorySink()
+        solver = ClassNashSolver(sample_k=5)
+        result = solver.solve(sampled_shape, tracer=Tracer(sink))
+        assert result.converged
+        assert result.iterations <= 4
+        assert result.final_norm > solver.tolerance  # not the norm rule
+        certificate = class_best_response_regrets(
+            sampled_shape, result.class_fractions
+        )
+        assert certificate.epsilon <= solver.tolerance
+        sample = result.sample
+        assert sample.epsilon == certificate.epsilon
+        assert sample.sampled_epsilon <= solver.tolerance
+        (done,) = [e for e in sink.events if e.name == "solver.class_done"]
+        assert done.fields["stopped_by"] == "certificate"
+        (event,) = [e for e in sink.events if e.name == "solver.sample"]
+        assert event.fields["sampled_epsilon"] == sample.sampled_epsilon
+
+    @pytest.mark.parametrize("order", ["roundrobin", "random"])
+    def test_iterates_are_a_prefix_of_the_norm_run(self, sampled_shape, order):
+        config = dict(sample_k=5, order=order, seed=1, record_history=True)
+        stopped = ClassNashSolver(**config).solve(sampled_shape)
+        full = ClassNashSolver(max_sweeps=40, stop="norm", **config).solve(
+            sampled_shape
+        )
+        assert stopped.converged and stopped.iterations < full.iterations
+        assert full.sample.sampled_epsilon is None
+        np.testing.assert_array_equal(
+            stopped.norm_history, full.norm_history[: stopped.iterations]
+        )
+        for row, full_row in zip(stopped.history, full.history):
+            np.testing.assert_array_equal(row, full_row)
+        np.testing.assert_array_equal(
+            stopped.class_fractions, full.history[stopped.iterations - 1]
+        )
+
+    def test_observed_over_every_computer_is_the_certificate(
+        self, sampled_shape
+    ):
+        agg = sampled_shape
+        fractions = agg.proportional_fractions()
+        flows = fractions * agg.demands[:, None]
+        lam = flows.sum(axis=0)
+        certificate = class_best_response_regrets(agg, fractions)
+        everything = np.arange(agg.n_computers)
+        for k in range(agg.n_classes):
+            avail = agg.service_rates - lam + flows[k]
+            regret = classes._observed_regret(
+                avail, flows[k], agg.demands[k], agg.counts[k], everything
+            )
+            assert regret == pytest.approx(certificate.regrets[k], rel=1e-9)
+        # A class with no flow yet (a cold start) has nothing to measure.
+        cold = classes._observed_regret(
+            avail, np.zeros(agg.n_computers), agg.demands[0], 2.0, everything
+        )
+        assert cold == np.inf
+
+    def test_per_user_sampled_solves_keep_the_norm_rule(self):
+        system = random_system(np.random.default_rng(3), n_computers=8, n_users=9)
+        default = NashSolver(sample_k=3).solve(system)
+        paper = NashSolver(sample_k=3, stop="norm").solve(system)
+        assert default.sample.sampled_epsilon is None
+        assert default.iterations == paper.iterations
+        np.testing.assert_array_equal(
+            default.profile.fractions, paper.profile.fractions
+        )
+
+
 class TestSolverConfig:
+    @pytest.mark.parametrize("seed", [-3, 1.5])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ClassNashSolver(seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            NashSolver(seed=seed)
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             ClassNashSolver(tolerance=0.0)

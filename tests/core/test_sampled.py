@@ -19,6 +19,7 @@ from repro.core.classes import ClassNashSolver, aggregate_users
 from repro.core.nash import NashSolver
 from repro.core.sampled import (
     SampleCertificate,
+    check_seed,
     reply_set,
     sample_indices,
     sampled_best_reply,
@@ -26,6 +27,7 @@ from repro.core.sampled import (
     widen_reply_set,
 )
 from repro.core.waterfill import InfeasibleDemand
+from repro.distributed.sampled import run_sampled_nash_protocol
 from repro.experiments.parallel import parallel_map
 from repro.workloads.configs import paper_table1_system
 
@@ -69,6 +71,34 @@ class TestReplySet:
     def test_empty_support_is_sample(self):
         chosen = reply_set(np.zeros(4), np.array([2], dtype=np.intp))
         np.testing.assert_array_equal(chosen, [2])
+
+    def test_matches_union1d(self):
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            n = int(rng.integers(1, 80))
+            own = np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
+            indices = sample_indices(int(rng.integers(1000)), 0, 0, n,
+                                     int(rng.integers(1, n + 1)))
+            expected = np.union1d(np.flatnonzero(own > 0.0), indices)
+            chosen = reply_set(own, indices)
+            assert chosen.dtype == np.intp
+            np.testing.assert_array_equal(chosen, expected)
+
+
+class TestSeedValidation:
+    def test_accepts_non_negative_integers(self):
+        assert check_seed(0) == 0
+        assert check_seed(np.int64(7)) == 7
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, "7", None])
+    def test_rejects_the_rest(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            check_seed(seed)
+
+    def test_sampled_protocol_rejects_a_negative_seed(self):
+        system = paper_table1_system(utilization=0.6, n_users=4)
+        with pytest.raises(ValueError, match="seed"):
+            run_sampled_nash_protocol(system, sample_k=2, seed=-3)
 
 
 class TestWidenReplySet:

@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.classes import ClassNashSolver, aggregate_users
+from repro.core.model import DistributedSystem
 from repro.core.nash import NashSolver
 from repro.distributed.runtime import run_nash_protocol
 from repro.engine import ComputerFailure, ComputerReopen, OnlineEquilibriumEngine
@@ -74,15 +76,27 @@ class TestConvergence:
         assert len(out.strip().splitlines()) == outcome.result.iterations + 1
 
     @pytest.mark.parametrize(
-        ("stop", "stopped_by"), [("certificate", "newton"), ("norm", "norm")]
+        ("case", "stopped_by"),
+        [("certificate", "newton"), ("norm", "norm"), ("sampled", "certificate")],
     )
     def test_reports_why_the_solve_stopped(
-        self, tmp_path, capsys, stop, stopped_by
+        self, tmp_path, capsys, case, stopped_by
     ):
         path = tmp_path / "solver.trace.jsonl"
-        system = paper_table1_system(utilization=0.6, n_users=4)
         with trace_to_file(path) as tracer:
-            result = NashSolver(stop=stop).solve(system, tracer=tracer)
+            if case == "sampled":
+                # Four 790-member classes stop on their observed regret.
+                rng = np.random.default_rng(1)
+                mu = rng.uniform(50.0, 150.0, size=45)
+                phi = rng.uniform(0.5, 2.0, size=4)[np.arange(3162) % 4]
+                phi *= 0.575 * mu.sum() / phi.sum()
+                system = DistributedSystem(service_rates=mu, arrival_rates=phi)
+                result = ClassNashSolver(sample_k=5).solve(
+                    aggregate_users(system), tracer=tracer
+                )
+            else:
+                system = paper_table1_system(utilization=0.6, n_users=4)
+                result = NashSolver(stop=case).solve(system, tracer=tracer)
         assert main(["convergence", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stopped_by"] == stopped_by
