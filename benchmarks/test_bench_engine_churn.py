@@ -1,24 +1,25 @@
-"""ENGINE-CHURN — incremental re-equilibration vs cold re-solves.
+"""ENGINE-CHURN — the engine's certificate stop vs the paper's norm rule.
 
 The online engine's value proposition, measured: the same 40-epoch
 day-in-production churn trace (diurnal demand, phi drift, a failure/
 reopen window, a flash crowd) is re-equilibrated epoch by epoch either
 
-* ``_cold`` — legacy service mode: every epoch re-solves from the
-  proportional profile to full sweep-norm convergence
-  (``warm_mode='off'``, ``stop='norm'``: the paper's rule alone), or
+* ``_cold`` — legacy service mode: every epoch runs to full sweep-norm
+  convergence (``stop='norm'``: the paper's rule alone), or
 * ``_warm`` — engine mode (the default ``EngineConfig``): every epoch
-  warm-starts from the previous equilibrium (with failure/reopen column
-  remapping) and stops as soon as the epsilon-Nash certificate of a
-  sweep iterate, or of its Newton polish, meets the same epsilon.
+  stops as soon as the epsilon-Nash certificate of a sweep iterate, or
+  of its Newton polish, meets the same epsilon.
 
-Both sides certify every epoch at the solver's standard 1e-6 epsilon —
+Both sides share the engine's one warm-start rule: an epoch starts from
+the previous equilibrium, restricted to the computers online now, when
+that is a feasible profile of the epoch's game, and cold otherwise.
+Both certify every epoch at the solver's standard 1e-6 epsilon —
 ``tests/engine/test_online_engine.py::TestCertificateParityWithColdSolves``
 pins the certificate parity — so the recorded ``_cold``/``_warm``
-speedup measures incremental savings, not accuracy traded away.  CI
+speedup measures the stop rule's savings, not accuracy traded away.  CI
 gates the ratio at >= 2x via ``benchmarks/bench_gate.py
---min-churn-speedup`` (the last recorded run read ~39x; see
-docs/PERFORMANCE.md).
+--min-churn-speedup`` (see docs/PERFORMANCE.md for the last recorded
+ratio).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _run(config: EngineConfig):
 @engine_churn
 def test_bench_engine_churn_cold(benchmark):
     run = benchmark.pedantic(
-        lambda: _run(EngineConfig(warm_mode="off", stop="norm")),
+        lambda: _run(EngineConfig(stop="norm")),
         rounds=3,
         iterations=1,
     )
@@ -67,5 +68,5 @@ def test_bench_engine_churn_warm(benchmark):
     )
     assert run.n_epochs == N_EPOCHS + 1
     assert run.all_certified
-    # Every epoch after the cold bootstrap is warm-started.
-    assert run.warm_epochs == N_EPOCHS
+    # Every epoch, warm or cold, certifies after one sweep.
+    assert run.total_sweeps == N_EPOCHS + 1

@@ -5,10 +5,10 @@ system.  A real deployment never holds still: demand follows the clock,
 users come and go, machines fail and come back.  This example runs the
 online equilibrium engine through a compressed "day in production" —
 a diurnal load curve with demand drift, a failure/reopen window for one
-computer, and a flash crowd — re-equilibrating incrementally at every
-epoch from the previous equilibrium, with every epoch certified at the
-solver's standard epsilon, and SLA violations accounted against a
-per-user response-time target.
+computer, and a flash crowd — re-equilibrating at every epoch, from
+the previous equilibrium whenever it is still feasible, with every
+epoch certified at the solver's standard epsilon, and SLA violations
+accounted against a per-user response-time target.
 
 It then deliberately breaks the system: every computer is failed at
 once.  The engine does not crash — it surfaces the typed
@@ -86,9 +86,14 @@ def main(argv: list[str] | None = None) -> None:
         print("engine holds the last good profile and keeps running.")
 
         up = engine.process_epoch(tuple(ComputerReopen(i) for i in range(n)))
+        start = (
+            "warm start carried the held profile"
+            if up.warm_started
+            else "cold start"
+        )
         print(
-            f"after reopen: status={up.status}, warm start carried the "
-            f"held profile ({up.sweeps} sweeps, certified={up.certified})"
+            f"after reopen: status={up.status}, {start} "
+            f"({up.sweeps} sweeps, certified={up.certified})"
         )
 
     if args.trace:

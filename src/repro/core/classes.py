@@ -811,7 +811,9 @@ class ClassNashSolver:
     current support plus ``k`` seeded probes per sweep.  ``k >= n`` runs
     the exact code path unchanged — bit-for-bit identical profiles —
     and only attaches the full-information
-    :class:`~repro.core.sampled.SampleCertificate`.
+    :class:`~repro.core.sampled.SampleCertificate`.  A ``k < n`` solve
+    with a multi-member class rejects ``order="simultaneous"`` with a
+    ``ValueError``: its Jacobi replies oscillate and never converge.
     """
 
     tolerance: float = DEFAULT_TOLERANCE
@@ -979,6 +981,14 @@ class ClassNashSolver:
         # parity) and only the certificate accounting differs.
         sample_k = 0 if self.sample_k is None else self.sample_k
         sampling = 0 < sample_k < n
+        if sampling and not singleton and self.order == "simultaneous":
+            # Sampled classes replying at once herd onto the same probed
+            # computers and oscillate: the budget ends unconverged.
+            raise ValueError(
+                f"order={self.order!r} with sample_k={sample_k} < n={n} "
+                "oscillates on multi-member classes; use a Gauss-Seidel "
+                "order ('roundrobin' or 'random') or sample_k=None"
+            )
         # The norm lags the certificate (multi-member classes trade load
         # along directions that barely move anyone's cost, so theirs
         # stalls), so exact solves check the certificate unless the
@@ -1057,25 +1067,9 @@ class ClassNashSolver:
                     # equilibrium against the frozen aggregate.
                     times = np.empty(c)
                     for k in range(c):
-                        if sampling:
-                            flows[k], times[k], p, r = _sampled_class_reply(
-                                available[k],
-                                flows[k],
-                                demand_list[k],
-                                counts[k],
-                                seed=seed,
-                                sweep=sweep,
-                                index=k,
-                                k=sample_k,
-                                observe=observing,
-                            )
-                            polls += p
-                            if observing:
-                                worst = max(worst, r)
-                        else:
-                            flows[k], times[k] = _symmetric_class_fill(
-                                available[k], demand_list[k], counts[k]
-                            )
+                        flows[k], times[k] = _symmetric_class_fill(
+                            available[k], demand_list[k], counts[k]
+                        )
                 deltas = np.abs(times - last_times)
                 norm = float((counts_f * deltas).sum())
                 last_times = times

@@ -43,13 +43,8 @@ Feasibility of the seed is repaired, not assumed:
   identity is lost but the aggregate split — what the equilibrium
   essentially determines for identical users — carries over).
 
-A computer-count change is remapped *by computer name* when
-``previous_system`` is given (the online engine's failure/reopen case):
-columns of surviving computers carry over, a failed computer's mass is
-re-split across the survivors, and a reopened (or newly provisioned)
-computer is seeded with its capacity-proportional share of every user's
-traffic.  Without ``previous_system`` there is no name mapping and the
-change returns ``None`` (cold start), as before.
+A computer-count change returns ``None`` (cold start): columns carry
+no identity across fleets.
 """
 
 from __future__ import annotations
@@ -134,56 +129,6 @@ def _repair(
     return _mask_overloaded(system, fractions)
 
 
-def _remap_computers(
-    system: DistributedSystem,
-    previous: StrategyProfile,
-    previous_system: DistributedSystem,
-) -> np.ndarray | None:
-    """``previous``'s fractions re-expressed on ``system``'s computers.
-
-    Computers are matched by name.  Carried columns keep their previous
-    fractions; mass sent to computers that disappeared (failures) is
-    re-split across the carried columns in proportion to what the user
-    already sends there; computers with no previous column (reopenings,
-    new provisions) are seeded with their capacity share ``Q`` of each
-    row, the carried mass scaled by ``1 - Q``.  Rows stay stochastic by
-    construction.  Returns ``None`` when no computer name carries over
-    or names are ambiguous (duplicates).
-    """
-    prev_names = previous_system.computer_names
-    new_names = system.computer_names
-    if len(set(prev_names)) != len(prev_names):
-        return None
-    if len(set(new_names)) != len(new_names):
-        return None
-    prev_index = {name: i for i, name in enumerate(prev_names)}
-    carried_cols = [prev_index.get(name) for name in new_names]
-    if all(col is None for col in carried_cols):
-        return None
-    n_users, n = previous.n_users, system.n_computers
-    carried = np.zeros((n_users, n))
-    fresh = np.zeros(n, dtype=bool)
-    for k, col in enumerate(carried_cols):
-        if col is None:
-            fresh[k] = True
-        else:
-            carried[:, k] = previous.fractions[:, col]
-    mu = system.service_rates
-    proportional_row = mu / mu.sum()
-    fresh_share = float(proportional_row[fresh].sum())  # the share Q
-    row_mass = carried.sum(axis=1)
-    remapped = np.empty((n_users, n))
-    for j in range(n_users):
-        if row_mass[j] > 0.0:
-            row = carried[j] * ((1.0 - fresh_share) / row_mass[j])
-            row[fresh] = proportional_row[fresh]
-            remapped[j] = row
-        else:
-            # Every column this user used disappeared: capacity split.
-            remapped[j] = proportional_row
-    return remapped
-
-
 def warm_start_profile(
     system: DistributedSystem,
     previous: StrategyProfile,
@@ -198,33 +143,12 @@ def warm_start_profile(
     user count changes across the sweep, ``previous_system`` (if given)
     supplies the arrival rates used to form the previous point's
     traffic-weighted aggregate split; otherwise users are weighted
-    equally — exact for the identical-user sweeps of Fig. 3.  When the
-    *computer* count (or identity) changes, ``previous_system`` is
-    required: computers are matched by name and the failed/reopened
-    columns re-split (see :func:`_remap_computers`); without it the
-    change returns ``None``.
+    equally — exact for the identical-user sweeps of Fig. 3.  A change
+    in the *computer* count returns ``None``.
     """
     fractions = previous.fractions
     if previous.n_computers != system.n_computers:
-        if (
-            previous_system is None
-            or previous_system.n_computers != previous.n_computers
-        ):
-            return None
-        remapped = _remap_computers(system, previous, previous_system)
-        if remapped is None:
-            return None
-        fractions = remapped
-    elif (
-        previous_system is not None
-        and previous_system.n_computers == previous.n_computers
-        and previous_system.computer_names != system.computer_names
-    ):
-        # Same width but different fleet membership (e.g. one failure +
-        # one reopen in the same epoch): still remap by name.
-        remapped = _remap_computers(system, previous, previous_system)
-        if remapped is not None:
-            fractions = remapped
+        return None
     if previous.n_users == system.n_users:
         return _repair(system, fractions)
     # User count changed: carry over the aggregate split, rescaled to the

@@ -9,14 +9,15 @@ same phenomenon that makes NASH_P beat NASH_0 in Figures 2-3, taken to its
 logical conclusion (the paper's "dynamic load balancing" future work).
 
 Since the online engine landed, this module is a thin snapshot-driven
-wrapper over :class:`repro.engine.OnlineEquilibriumEngine`: each
-snapshot is diffed against the engine's fleet state into one churn epoch
-(capacity changes plus a wholesale demand replacement) and solved with
-the legacy semantics — ``stop="norm"`` for the paper's sweep-norm
-rule alone, ``warm_mode="strict"`` for the historical
-"reuse the previous profile only when shape-compatible and feasible"
-rule — so results are identical to the pre-engine implementation while
-there is only one re-equilibration code path in the repo.
+wrapper over :class:`repro.engine.OnlineEquilibriumEngine`, solved with
+``stop="norm"`` (the paper's sweep-norm rule alone).  With warm starts,
+each snapshot is diffed against the engine's fleet state into one churn
+epoch (capacity changes plus a wholesale demand replacement), and the
+engine's one warm-start rule — reuse the previous profile when it is a
+feasible profile of the new snapshot — applies; without them each
+snapshot is the bootstrap solve of a fresh engine.  Results are
+identical to the pre-engine implementation while there is only one
+re-equilibration code path in the repo.
 """
 
 from __future__ import annotations
@@ -114,16 +115,19 @@ def run_dynamic_balancing(
         tolerance=tolerance,
         sweep_budget=max_sweeps,
         stop="norm",
-        warm_mode="strict" if warm_start else "off",
         cold_init=cold_init,
     )
     episodes: list[EpisodeResult] = []
     engine: OnlineEquilibriumEngine | None = None
     for system in systems:
-        if engine is None or engine.state.n_computers != system.n_computers:
-            # First snapshot, or the fleet itself changed size (which the
-            # legacy loop always cold-started): fresh engine, bootstrap
-            # solve is the episode.
+        if (
+            not warm_start
+            or engine is None
+            or engine.state.n_computers != system.n_computers
+        ):
+            # A cold episode, the first snapshot, or a fleet that changed
+            # size (which the legacy loop always cold-started): fresh
+            # engine, bootstrap solve is the episode.
             engine = OnlineEquilibriumEngine(system, config=config)
             report = engine.bootstrap
         else:

@@ -324,7 +324,7 @@ class RingSupervisor:
         self.detector = HeartbeatFailureDetector(suspect_after)
         self.backoff = ExponentialBackoff(BACKOFF_BASE, BACKOFF_CAP)
         #: Ring generation, bumped on every reopen; a checkpoint from an
-        #: older generation never resurrects termination flags.
+        #: older generation never resurrects a termination flag.
         self.generation = 0
         self.crashes = self.restarts = self.ring_reopens = self.events_applied = 0
         self.computers_failed: list[int] = []
@@ -478,7 +478,7 @@ class RingSupervisor:
         if not agents[0].finished:
             return
         # TERMINATE is circulating on a pre-failure norm: reopen.  A dead
-        # agent's flags are cleared too; its restore overwrites them.
+        # agent's flag is cleared too; its restore overwrites it.
         self.generation += 1
         self.ring_reopens += 1
         self.tracer.emit("protocol.reopen", step=step, generation=self.generation)
@@ -486,7 +486,6 @@ class RingSupervisor:
         self.bus.purge(MessageKind.TERMINATE)
         for agent in agents:
             agent.finished = False
-            agent._terminated = False
         for sender, message in list(self._last_sent.items()):
             if message.kind is MessageKind.TERMINATE:
                 del self._last_sent[sender]

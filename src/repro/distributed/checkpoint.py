@@ -2,7 +2,7 @@
 
 A crashed user process loses its volatile state: its dedup sweep cursor,
 its last expected response time ``D_j`` (the baseline the convergence
-norm is measured against), its termination flags and — for the initiator
+norm is measured against), its termination flag and — for the initiator
 — the norm history that decides convergence.  The supervisor therefore
 snapshots every live agent periodically; when the fault layer restarts a
 crashed agent, the latest snapshot is written back and the agent's flow
@@ -41,13 +41,14 @@ class AgentCheckpoint:
     generation:
         Ring generation (incremented by the supervisor each time the ring
         is reopened after a topology change); a snapshot from an older
-        generation must not resurrect stale termination flags.
+        generation must not resurrect a stale termination flag.
     last_acted_sweep:
         Dedup cursor — the newest token sweep the agent acted on.
     previous_time:
         The agent's ``D_j`` baseline for the convergence norm.
-    finished, terminated:
-        Termination flags (TERMINATE observed / forwarded).
+    finished:
+        Termination flag (TERMINATE acted on, or decided by the
+        initiator).
     flows:
         The agent's published per-computer flow row (jobs/sec).
     norm_history:
@@ -60,7 +61,6 @@ class AgentCheckpoint:
     last_acted_sweep: int
     previous_time: float
     finished: bool
-    terminated: bool
     flows: tuple[float, ...]
     norm_history: tuple[float, ...]
 
@@ -92,7 +92,6 @@ class CheckpointStore:
             last_acted_sweep=int(getattr(agent, "_last_acted_sweep", 0)),
             previous_time=float(agent._previous_time),
             finished=bool(agent.finished),
-            terminated=bool(getattr(agent, "_terminated", False)),
             flows=tuple(float(f) for f in board.flows[agent.rank]),
             norm_history=tuple(agent.norm_history),
         )
@@ -115,7 +114,7 @@ class CheckpointStore:
 
         If the snapshot predates the current ring ``generation`` (the
         ring was reopened after the snapshot was taken), the termination
-        flags are cleared — the decision they record is stale.
+        flag is cleared — the decision it records is stale.
         """
         snapshot = self._latest[agent.rank]
         if hasattr(agent, "_last_acted_sweep"):
@@ -123,8 +122,6 @@ class CheckpointStore:
         agent._previous_time = snapshot.previous_time
         stale_generation = snapshot.generation < generation
         agent.finished = snapshot.finished and not stale_generation
-        if hasattr(agent, "_terminated"):
-            agent._terminated = snapshot.terminated and not stale_generation
         agent.norm_history = list(snapshot.norm_history)
         board.publish(agent.rank, np.asarray(snapshot.flows, dtype=float))
         self.restores += 1

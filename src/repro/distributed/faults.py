@@ -85,14 +85,13 @@ class DedupingAgent(UserAgent):
     """A user agent that ignores token messages it has already acted on.
 
     A TOKEN for sweep ``l`` is acted on at most once; retransmitted or
-    duplicated copies are dropped on the floor.  TERMINATE is naturally
-    idempotent (acting twice is harmless), so only forwarding is guarded.
+    duplicated copies are dropped on the floor.  Acting on TERMINATE
+    sets ``finished``, so every later copy is squelched with the rest.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._last_acted_sweep = 0
-        self._terminated = False
 
     def handle(self, message: Message) -> None:
         if message.kind is MessageKind.TOKEN:
@@ -100,9 +99,7 @@ class DedupingAgent(UserAgent):
                 return  # duplicate of an already-processed token
             self._last_acted_sweep = message.sweep
         elif message.kind is MessageKind.TERMINATE:
-            if self._terminated:
-                return
-            self._terminated = True
+            pass  # acting on it sets ``finished``, which squelches copies
         # A retransmission can legitimately arrive after the agent
         # considered itself finished; squelch instead of crashing.
         if self.finished:

@@ -27,7 +27,6 @@ from repro.engine.service import (
     EpochReport,
     EpochStatus,
     OnlineEquilibriumEngine,
-    WarmMode,
 )
 from repro.engine.sla import SLAAccountant, SLAPolicy, SLAReport
 from repro.engine.state import FleetState
@@ -53,7 +52,6 @@ __all__ = [
     "SetUtilization",
     "UserArrival",
     "UserDeparture",
-    "WarmMode",
     "as_epoch",
     "converge_bounded",
     "event_kind",

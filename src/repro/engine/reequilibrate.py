@@ -7,8 +7,8 @@ is the epoch's **sweep budget**.  Under the solver's default
 certificate**: checked after sweeps 1, 2, 4, 8, ..., first on the sweep
 iterate and then on its Newton polish
 (:func:`repro.core.classes.newton_polish`, quadratic near the
-equilibrium where the sweeps converge linearly), so a warm churn epoch
-typically certifies after a single sweep.  The certificate that stopped
+equilibrium where the sweeps converge linearly), so a churn epoch, warm
+or cold, typically certifies after a single sweep.  The certificate that stopped
 the solve is the epoch's certificate; only a solve that the norm rule or
 the budget ended is certified afresh with
 :func:`repro.core.equilibrium.best_response_regrets`.  ``stop="norm"``

@@ -7,11 +7,14 @@ state and equilibrium profile and consumes a churn trace epoch by epoch:
 
 1. the epoch's events are applied atomically to the
    :class:`~repro.engine.state.FleetState`;
-2. the previous equilibrium is adapted into a warm start for the new
-   effective (surviving-computer) game via
-   :func:`repro.core.continuation.warm_start_profile` — including
-   across computer failures and reopenings, which re-split the failed
-   or recovered computer's aggregate load instead of cold-starting;
+2. the previous equilibrium, restricted to the computers online now,
+   seeds the solve when it is a feasible profile of the new effective
+   (surviving-computer) game; otherwise the solve cold-starts.  A
+   reopened computer enters with a zero column (warm); a failed
+   computer that carried flow leaves rows summing below one, and a
+   user-count change leaves the wrong shape (both cold).  Under the
+   default certificate stop the Newton polish certifies warm and cold
+   epochs alike after one sweep, so the seed needs no repair;
 3. the solve is one :class:`~repro.core.nash.NashSolver` solve under a
    sweep budget that stops on the epsilon-Nash certificate
    (:func:`repro.engine.reequilibrate.converge_bounded`), so a
@@ -39,7 +42,6 @@ from typing import Iterable, Literal
 import numpy as np
 
 from repro._typing import BoolArray, FloatArray
-from repro.core.continuation import warm_start_profile
 from repro.core.degradation import CapacityExhausted, embed_profile
 from repro.core.equilibrium import EquilibriumCertificate
 from repro.core.model import DistributedSystem
@@ -63,11 +65,9 @@ __all__ = [
     "EpochReport",
     "EpochStatus",
     "OnlineEquilibriumEngine",
-    "WarmMode",
 ]
 
 EpochStatus = Literal["ok", "degraded", "exhausted", "idle"]
-WarmMode = Literal["repair", "strict", "off"]
 
 #: Histogram bucket edges for sweeps spent per epoch.
 _SWEEP_BOUNDS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
@@ -92,13 +92,9 @@ class EngineConfig:
         Newton polish, checked after sweeps 1, 2, 4, 8, ...;
         ``"norm"`` is the paper's sweep-norm rule alone, certified once
         after the solve.
-    warm_mode:
-        ``"repair"`` adapts the previous equilibrium through the full
-        continuation/degradation cascade; ``"strict"`` only reuses it
-        verbatim when shape-compatible and feasible (the legacy
-        snapshot-driver semantics); ``"off"`` always cold-starts.
     cold_init:
-        Initialization used when no warm start is available.
+        Initialization used when the previous equilibrium is not a
+        feasible profile of the epoch's game (and for the bootstrap).
     sla:
         Optional per-user response-time objective to account against.
     """
@@ -106,7 +102,6 @@ class EngineConfig:
     tolerance: float = DEFAULT_TOLERANCE
     sweep_budget: int = DEFAULT_MAX_SWEEPS
     stop: StopRule = "certificate"
-    warm_mode: WarmMode = "repair"
     cold_init: Initialization = "proportional"
     sla: SLAPolicy | None = None
 
@@ -117,8 +112,6 @@ class EngineConfig:
             raise ValueError("sweep_budget must be at least 1")
         if self.stop not in ("certificate", "norm"):
             raise ValueError(f"unknown stop rule {self.stop!r}")
-        if self.warm_mode not in ("repair", "strict", "off"):
-            raise ValueError(f"unknown warm mode {self.warm_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -248,8 +241,6 @@ class OnlineEquilibriumEngine:
         self._tracer = tracer
         self._state = FleetState(system)
         self._fractions_full: FloatArray | None = None
-        self._effective: DistributedSystem | None = None
-        self._effective_online: BoolArray | None = None
         self._reports: list[EpochReport] = []
         self._sla = (
             SLAAccountant(self.config.sla) if self.config.sla is not None else None
@@ -263,7 +254,6 @@ class OnlineEquilibriumEngine:
                 tolerance=self.config.tolerance,
                 sweep_budget=self.config.sweep_budget,
                 stop=self.config.stop,
-                warm_mode=self.config.warm_mode,
             )
         self.process_epoch(())
 
@@ -341,8 +331,6 @@ class OnlineEquilibriumEngine:
         # No users, no game: drop the profile (a later arrival cold
         # starts) but keep serving the moment demand returns.
         self._fractions_full = None
-        self._effective = None
-        self._effective_online = None
         if self._sla is not None:
             self._sla.record_epoch(None)
         return EpochReport(
@@ -371,7 +359,7 @@ class OnlineEquilibriumEngine:
         error: CapacityExhausted,
     ) -> EpochReport:
         # Degraded hold: surface the typed error, keep the last good
-        # profile and effective system for the recovery warm start.
+        # profile for the recovery warm start.
         violations = 0
         if self._sla is not None:
             violations = self._sla.record_unserved(self._state.n_users)
@@ -416,8 +404,6 @@ class OnlineEquilibriumEngine:
         online = self._state.online.copy()
         full = embed_profile(outcome.result.profile.fractions, online)
         self._fractions_full = full
-        self._effective = effective
-        self._effective_online = online
         user_times = (
             outcome.certificate.user_times
             if outcome.certificate is not None
@@ -448,31 +434,15 @@ class OnlineEquilibriumEngine:
     # Warm starts
     # ------------------------------------------------------------------
     def _warm_seed(self, effective: DistributedSystem) -> StrategyProfile | None:
-        if self.config.warm_mode == "off":
+        """The previous equilibrium on the computers online now, when it
+        is a feasible profile of ``effective``; ``None`` cold-starts."""
+        if self._fractions_full is None:
             return None
-        if (
-            self._fractions_full is None
-            or self._effective is None
-            or self._effective_online is None
-        ):
-            return None
-        previous = StrategyProfile(
-            self._fractions_full[:, self._effective_online]
-        )
-        if self.config.warm_mode == "strict":
-            same_shape = previous.fractions.shape == (
-                effective.n_users,
-                effective.n_computers,
-            )
-            same_fleet = bool(
-                np.array_equal(self._effective_online, self._state.online)
-            )
-            if same_shape and same_fleet and previous.is_feasible(effective):
-                return previous
-            return None
-        return warm_start_profile(
-            effective, previous, previous_system=self._effective
-        )
+        previous = StrategyProfile(self._fractions_full[:, self._state.online])
+        shape = (effective.n_users, effective.n_computers)
+        if previous.fractions.shape == shape and previous.is_feasible(effective):
+            return previous
+        return None
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -563,6 +563,20 @@ class TestSampledStop:
         )
         assert cold == np.inf
 
+    @pytest.mark.parametrize("stop", ["certificate", "norm"])
+    def test_simultaneous_sampled_classes_rejected(self, sampled_shape, stop):
+        # Sampled Jacobi replies of multi-member classes oscillate and
+        # used to run out the sweep budget unconverged.
+        solver = ClassNashSolver(sample_k=5, order="simultaneous", stop=stop)
+        with pytest.raises(ValueError, match="order='simultaneous'.*sample_k=5"):
+            solver.solve(sampled_shape)
+        # Without sampling, or with k >= n, the Jacobi order still runs.
+        n = sampled_shape.n_computers
+        for k in (None, n):
+            ClassNashSolver(sample_k=k, order="simultaneous", max_sweeps=2).solve(
+                sampled_shape
+            )
+
     def test_per_user_sampled_solves_keep_the_norm_rule(self):
         system = random_system(np.random.default_rng(3), n_computers=8, n_users=9)
         default = NashSolver(sample_k=3).solve(system)

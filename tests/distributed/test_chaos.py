@@ -218,15 +218,14 @@ class TestCheckpointStore:
             max_sweeps=100,
         )
         agent.finished = True
-        agent._terminated = True
         store = CheckpointStore()
         store.capture(agent, board, step=5, generation=0)
         # Same generation: flags survive the restore.
         store.restore(agent, board, generation=0)
-        assert agent.finished and agent._terminated
+        assert agent.finished
         # The ring was reopened since the snapshot: flags are stale.
         store.restore(agent, board, generation=1)
-        assert not agent.finished and not agent._terminated
+        assert not agent.finished
 
 
 class TestResilientProtocol:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.degradation import CapacityExhausted
 from repro.core.equilibrium import best_response_regrets
+from repro.core.nash import NashSolver
 from repro.engine.events import (
     ComputerFailure,
     ComputerReopen,
@@ -47,8 +48,6 @@ class TestBootstrap:
             EngineConfig(sweep_budget=0)
         with pytest.raises(ValueError):
             EngineConfig(stop="sweeps")  # type: ignore[arg-type]
-        with pytest.raises(ValueError):
-            EngineConfig(warm_mode="tepid")  # type: ignore[arg-type]
 
 
 class TestEngineCoreLoop:
@@ -182,29 +181,65 @@ class TestAdversarialChurn:
         assert run.all_certified  # solvable epochs only
 
 
+class TestOneWarmStartRule:
+    """An epoch warm-starts exactly when the previous equilibrium,
+    restricted to the computers online now, is a feasible profile of the
+    epoch's game; either way it certifies after one sweep."""
+
+    @pytest.mark.parametrize(
+        ("setup", "events", "warm"),
+        [
+            pytest.param((), (PhiDrift(factor=1.05),), True, id="phi-drift"),
+            # Computer 0 is the fastest and carries flow: its loss leaves
+            # rows that no longer sum to one.
+            pytest.param((), (ComputerFailure(0),), False, id="failure"),
+            # Computer 15 is the slowest and idle at 60% utilization.
+            pytest.param((), (ComputerFailure(15),), True, id="idle-failure"),
+            pytest.param(
+                ((ComputerFailure(0),),), (ComputerReopen(0),), True, id="reopen"
+            ),
+            pytest.param((), (UserArrival((5.0,)),), False, id="arrival"),
+            pytest.param((), (UserDeparture(count=1),), False, id="departure"),
+            pytest.param(
+                ((UserDeparture(count=8),),),
+                (UserArrival((10.0, 5.0)),),
+                False,
+                id="after-idle",
+            ),
+        ],
+    )
+    def test_warm_exactly_when_feasible(self, setup, events, warm):
+        engine = make_engine()
+        for epoch in setup:
+            engine.process_epoch(epoch)
+        report = engine.process_epoch(events)
+        assert report.warm_started is warm
+        assert report.sweeps == 1
+        assert report.certified and report.epsilon <= TOL
+
+
 class TestCertificateParityWithColdSolves:
     def test_every_epoch_epsilon_matches_cold_solve_target(self):
-        """Warm-started epochs certify at the same epsilon a cold solve
-        would — incremental re-equilibration trades no accuracy."""
+        """Engine epochs, warm or cold, certify at the epsilon an
+        independent cold solve of the same effective system reaches —
+        incremental re-equilibration trades no accuracy."""
         system = paper_table1_system(utilization=0.5, n_users=8)
         trace = day_in_production_trace(24, seed=11)
-        warm = OnlineEquilibriumEngine(
-            system, config=EngineConfig(warm_mode="repair")
-        ).run(trace)
-        cold = OnlineEquilibriumEngine(
-            system, config=EngineConfig(warm_mode="off")
-        ).run(trace)
-        assert warm.all_certified and cold.all_certified
-        for w, c in zip(warm.reports, cold.reports):
-            assert w.status == c.status
-            if w.status not in ("ok", "degraded"):
+        run = OnlineEquilibriumEngine(system).run(trace)
+        assert run.all_certified
+        assert run.solved_epochs > 0
+        for report in run.reports:
+            if report.status not in ("ok", "degraded"):
                 continue
-            assert w.epsilon <= TOL and c.epsilon <= TOL
+            assert report.system is not None and report.result is not None
+            cold = NashSolver().solve(report.system, "proportional")
+            assert cold.converged
+            cert = best_response_regrets(report.system, cold.profile)
+            assert report.epsilon <= TOL and cert.epsilon <= TOL
             # Same (unique) equilibrium either way — an epsilon-certificate
             # bounds regret, not profile distance, so compare loosely.
-            assert w.result is not None and c.result is not None
-            assert w.result.user_times == pytest.approx(
-                c.result.user_times, rel=1e-2
+            assert report.result.user_times == pytest.approx(
+                cold.user_times, rel=1e-2
             )
 
 

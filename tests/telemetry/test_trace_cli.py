@@ -144,7 +144,8 @@ class TestEngineView:
         path, run = engine_traced_run
         assert main(["engine", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        # An epoch whose sweep iterate already certifies skips the polish.
+        # An epoch whose sweep iterate already certifies, or already meets
+        # the norm rule (a warm start at the equilibrium), skips the polish.
         stopped_by = [
             event.fields["stopped_by"]
             for event in read_trace(path)
@@ -152,7 +153,9 @@ class TestEngineView:
         ]
         assert len(stopped_by) == run.n_epochs
         assert (
-            payload["polished_epochs"] + stopped_by.count("certificate")
+            payload["polished_epochs"]
+            + stopped_by.count("certificate")
+            + stopped_by.count("norm")
             == run.n_epochs
         )
         assert payload["polished_epochs"] == stopped_by.count("newton") > 0
