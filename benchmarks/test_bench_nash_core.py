@@ -20,11 +20,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.best_response import optimal_fractions
+from repro.core.best_response import optimal_fractions, optimal_fractions_batch
 from repro.core.model import DistributedSystem
 from repro.core.nash import NashSolver
 from repro.core.reference import reference_solve
-from repro.core.waterfill import sqrt_waterfill_batch
 from repro.simengine.fastpath import mm1_lindley_waits
 from repro.workloads import paper_table1_system
 
@@ -70,12 +69,12 @@ def test_bench_optimal_kernel(benchmark):
 
 @nash_core
 def test_bench_waterfill_batch_m1000_n64(benchmark):
-    """The batched water-fill kernel: 1000 users in one call."""
+    """The batched best-reply kernel: 1000 users in one call."""
     rng = np.random.default_rng(3)
     a = rng.uniform(1.0, 100.0, size=(1000, 64))
     d = 0.3 * a.sum(axis=1)
-    result = benchmark(lambda: sqrt_waterfill_batch(a, d))
-    np.testing.assert_allclose(result.loads.sum(axis=1), d, rtol=1e-9)
+    result = benchmark(lambda: optimal_fractions_batch(a, d))
+    np.testing.assert_allclose(result.fractions.sum(axis=1), 1.0, rtol=1e-9)
 
 
 @nash_core

@@ -2,7 +2,6 @@
 
 from repro.core.classes import (
     ClassAggregation,
-    ClassEquilibriumCertificate,
     ClassNashResult,
     ClassNashSolver,
     aggregate_users,
@@ -18,7 +17,6 @@ from repro.core.best_response import (
     BatchBestResponse,
     BestResponse,
     best_response,
-    best_response_value,
     optimal_fractions,
     optimal_fractions_batch,
 )
@@ -61,17 +59,14 @@ from repro.core.sampled import (
 from repro.core.strategy import FEASIBILITY_ATOL, StrategyProfile
 from repro.core.uncertainty import NoisyNashResult, NoisyNashSolver
 from repro.core.waterfill import (
-    BatchWaterfillResult,
     InfeasibleDemand,
     WaterfillResult,
     response_time_waterfill,
     sqrt_waterfill,
-    sqrt_waterfill_batch,
 )
 
 __all__ = [
     "ClassAggregation",
-    "ClassEquilibriumCertificate",
     "ClassNashResult",
     "ClassNashSolver",
     "aggregate_users",
@@ -83,7 +78,6 @@ __all__ = [
     "BatchBestResponse",
     "BestResponse",
     "best_response",
-    "best_response_value",
     "optimal_fractions",
     "optimal_fractions_batch",
     "CapacityExhausted",
@@ -116,10 +110,8 @@ __all__ = [
     "StrategyProfile",
     "NoisyNashResult",
     "NoisyNashSolver",
-    "BatchWaterfillResult",
     "InfeasibleDemand",
     "WaterfillResult",
     "response_time_waterfill",
     "sqrt_waterfill",
-    "sqrt_waterfill_batch",
 ]

@@ -28,10 +28,8 @@ from repro.core.strategy import StrategyProfile
 from repro.core.waterfill import (
     InfeasibleDemand,
     _validate_inputs,
-    sqrt_waterfill_batch,
     sqrt_waterfill_inplace,
 )
-from repro.queueing.mm1 import expected_response_time as mm1_response_time
 
 __all__ = [
     "BestResponse",
@@ -40,7 +38,6 @@ __all__ = [
     "optimal_fractions",
     "optimal_fractions_batch",
     "best_response",
-    "best_response_value",
 ]
 
 
@@ -116,16 +113,10 @@ class BatchBestResponse:
     expected_response_times:
         ``(m,)`` vector of each user's expected response time ``D_j``
         under its new strategy (opponents held fixed).
-    support_mask:
-        ``(m, n)`` boolean matrix of the optimal supports.
-    thresholds:
-        ``(m,)`` water-fill thresholds ``t_j`` of Theorem 2.1.
     """
 
     fractions: np.ndarray
     expected_response_times: np.ndarray
-    support_mask: np.ndarray
-    thresholds: np.ndarray
 
 
 def optimal_fractions_batch(available_rates, job_rates) -> BatchBestResponse:
@@ -133,37 +124,74 @@ def optimal_fractions_batch(available_rates, job_rates) -> BatchBestResponse:
 
     Row ``j`` of ``available_rates`` is user ``j``'s available-rate vector
     ``a_i = mu_i - sum_{k != j} s_ki phi_k``; ``job_rates[j]`` is its
-    demand ``phi_j``.  Produces the same numbers as looping
-    :func:`optimal_fractions` over the rows (to floating-point round-off)
-    at a fraction of the cost — this is the kernel behind the Jacobi
-    sweep of :class:`~repro.core.nash.NashSolver`, the vectorized
-    equilibrium certificate and the scheme evaluation harness.
+    demand ``phi_j``.  All rows are solved together with axis-wise
+    ``argsort``/``cumsum`` — no Python loop over rows — and each row
+    gets the numbers :func:`optimal_fractions` gives it (to round-off in
+    the time).  Nonpositive rates are unavailable per row, as in the
+    scalar kernel.  This is the one batched Theorem 2.1 kernel: the
+    Jacobi sweep of :class:`~repro.core.nash.NashSolver`, the sampled
+    batch reply and the equilibrium certificate all run it.
 
     Raises
     ------
     InfeasibleDemand
         If some user's demand cannot fit under its available capacity;
-        carries the user index.
+        carries the user index as ``.user``.
     """
     a = np.asarray(available_rates, dtype=float)
     d = np.asarray(job_rates, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("available rates must be an (m, n) matrix")
-    if np.any(d <= 0.0):
-        raise ValueError("job rates must be strictly positive")
-    fill = sqrt_waterfill_batch(a, d)
-    fractions = fill.loads / d[:, None]
-    mask = fill.support_mask
-    # Expected times on each support through the audited M/M/1 helper;
-    # off-support entries contribute nothing (zero fraction).
-    times = np.zeros_like(fractions)
-    times[mask] = mm1_response_time(fill.loads[mask], a[mask])
-    expected = (fractions * times).sum(axis=1)
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError("available rates must be a nonempty (m, n) matrix")
+    if d.shape != (a.shape[0],):
+        raise ValueError("job rates must have one entry per available-rate row")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("available rates must be finite")
+    if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
+        raise ValueError("job rates must be finite and strictly positive")
+    n = a.shape[1]
+
+    usable = a > 0.0
+    a_usable = np.where(usable, a, 0.0)
+    capacity = a_usable.sum(axis=1)
+    infeasible = d >= capacity
+    if np.any(infeasible):
+        j = int(np.flatnonzero(infeasible)[0])
+        raise InfeasibleDemand(float(d[j]), float(capacity[j]), user=j)
+
+    # Sort each row's usable computers by rate, descending; unusable ones
+    # (zero rate, sort key 0 against the usable ones' negative keys)
+    # sink to the end in index order.
+    order = np.argsort(np.negative(a_usable), axis=1, kind="stable")
+    a_sorted = np.take_along_axis(a_usable, order, axis=1)
+    roots = np.sqrt(a_sorted)
+
+    # Per-row threshold for every candidate support prefix {1..c}:
+    #   t_c = (sum_{i<=c} a_i - d) / (sum_{i<=c} sqrt(a_i)),
+    # and the support is the largest prefix whose slowest member still
+    # gets a positive share (see sqrt_waterfill_inplace).  Every row has
+    # a usable first computer, so the denominators are positive.
+    thresholds = (np.cumsum(a_sorted, axis=1) - d[:, None]) / np.cumsum(roots, axis=1)
+    valid = roots > thresholds
+    if not valid[:, 0].all():  # t_1 < sqrt(a_1) unless d is below round-off
+        raise AssertionError("sqrt water-fill: no valid support prefix")
+    cuts = n - valid[:, ::-1].argmax(axis=1)
+    t = np.take_along_axis(thresholds, (cuts - 1)[:, None], axis=1)
+    support = np.arange(n) < cuts[:, None]
+    flows = np.where(support, a_sorted - t * roots, 0.0)
+    # Guard against tiny negative round-off on each boundary computer,
+    # then rescale each row so it meets its demand exactly.
+    np.maximum(flows, 0.0, out=flows)
+    flows *= (d / flows.sum(axis=1))[:, None]
+
+    # D_j = (1/phi_j) sum_i x_i / (a_i - x_i) over the support, computed
+    # in sorted space like the scalar kernel.
+    gap = np.where(support, a_sorted - flows, 1.0)
+    expected = (flows / gap).sum(axis=1) / d  # reprolint: allow=R003 hot path; gap > 0 on the support
+    fractions = np.empty_like(a)
+    np.put_along_axis(fractions, order, flows, axis=1)
+    fractions /= d[:, None]
     return BatchBestResponse(
-        fractions=fractions,
-        expected_response_times=expected,
-        support_mask=mask,
-        thresholds=fill.thresholds,
+        fractions=fractions, expected_response_times=expected
     )
 
 
@@ -178,9 +206,3 @@ def best_response(
     available = system.available_rates(profile.fractions, user)
     return optimal_fractions(available, float(system.arrival_rates[user]))
 
-
-def best_response_value(
-    system: DistributedSystem, profile: StrategyProfile, user: int
-) -> float:
-    """The lowest expected response time ``user`` can achieve unilaterally."""
-    return best_response(system, profile, user).expected_response_time

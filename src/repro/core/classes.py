@@ -68,6 +68,7 @@ import numpy as np
 
 from repro._typing import FloatArray
 from repro.core.best_response import optimal_fractions_batch
+from repro.core.equilibrium import EquilibriumCertificate, _regret_certificate
 from repro.core.model import DistributedSystem
 from repro.core.sampled import (
     SampleCertificate,
@@ -88,7 +89,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "UpdateOrder",
     "ClassAggregation",
-    "ClassEquilibriumCertificate",
     "ClassNashResult",
     "ClassNashSolver",
     "PolishStats",
@@ -408,60 +408,30 @@ def aggregate_users(
 # ----------------------------------------------------------------------
 # Equilibrium certificate in class space
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ClassEquilibriumCertificate:
-    """Per-class (hence per-user, by symmetry) regret certificate.
-
-    Every member of a class has the same current cost and the same
-    unilateral best-response cost, so the per-class regrets *are* the
-    per-user regrets of the expanded profile and ``epsilon`` is the same
-    epsilon :func:`repro.core.equilibrium.best_response_regrets` would
-    report on the ``(m, n)`` expansion (exactly for exact grouping).
-    """
-
-    regrets: FloatArray
-    class_times: FloatArray
-    best_response_times: FloatArray
-    counts: IntArray
-    epsilon: float
-
-    def is_equilibrium(self, tol: float) -> bool:
-        return self.epsilon <= tol
-
-
 def class_best_response_regrets(
     aggregation: ClassAggregation, class_fractions: FloatArray
-) -> ClassEquilibriumCertificate:
+) -> EquilibriumCertificate:
     """Certify a class profile with ``c`` batched best responses.
 
     Row ``k``'s available rates are ``mu - lam + phi_k f_k`` — the
     aggregate minus everyone else's flow *including the classmates'* —
-    so this is the exact per-user certificate evaluated once per class.
+    so this is the exact per-user certificate evaluated once per class:
+    its entries are per class (``user_times`` holds each class's member
+    time) and its ``epsilon`` is the per-user epsilon of the expanded
+    profile (exactly for exact grouping).
     """
-    f = aggregation._validated(class_fractions)
-    mu = aggregation.service_rates
-    rates = aggregation.class_rates
-    lam = aggregation.demands @ f
-    if np.any(mu - lam <= 0.0):
-        raise ValueError("class profile violates per-computer stability")
-    current = f @ expected_response_time(lam, mu)
-    member_flows = rates[:, None] * f
-    available = (mu - lam)[None, :] + member_flows
-    best = optimal_fractions_batch(available, rates).expected_response_times
-    regrets = current - best
-    return ClassEquilibriumCertificate(
-        regrets=regrets,
-        class_times=current,
-        best_response_times=best,
-        counts=aggregation.counts,
-        epsilon=float(regrets.max()),
+    return _regret_certificate(
+        aggregation.service_rates,
+        aggregation.demands,
+        aggregation.class_rates,
+        aggregation._validated(class_fractions),
     )
 
 
-def _certificate(
+def certificate_or_none(
     aggregation: ClassAggregation, class_fractions: FloatArray
-) -> ClassEquilibriumCertificate | None:
-    """The certificate; ``None`` for an unstable (Jacobi) profile."""
+) -> EquilibriumCertificate | None:
+    """The certificate; ``None`` for a profile that overloads a computer."""
     try:
         return class_best_response_regrets(aggregation, class_fractions)
     except ValueError:
@@ -702,7 +672,7 @@ class SweepRun:
     history: list[FloatArray]
     polls: int
     polished: bool = False
-    certificate: ClassEquilibriumCertificate | None = None
+    certificate: EquilibriumCertificate | None = None
     sampled_epsilon: float | None = None
 
     @property
@@ -721,20 +691,25 @@ class SweepRun:
 
 
 def certify_sample(
-    run: SweepRun, k: int, n: int, epsilon: float, tracer: Tracer
+    run: SweepRun, k: int, aggregation: ClassAggregation, tracer: Tracer
 ) -> SampleCertificate:
     """The :class:`SampleCertificate` of a ``sample_k`` solve.
 
-    ``epsilon`` is the caller's true global certificate of the final
-    profile; emits the ``solver.sample`` event when tracing.
+    Its ``epsilon`` is the true global certificate of the run's final
+    profile (``inf`` when that overloads a computer); emits the
+    ``solver.sample`` event when tracing.
     """
+    n = aggregation.n_computers
+    certificate = certificate_or_none(
+        aggregation, run.flows / aggregation.demands[:, None]
+    )
     sample = SampleCertificate(
         k=min(k, n),
         n_computers=n,
         sweeps=len(run.norms),
         polls=run.polls,
         sampled_norm=run.final_norm,
-        epsilon=epsilon,
+        epsilon=float("inf") if certificate is None else certificate.epsilon,
         sampled_epsilon=run.sampled_epsilon,
     )
     if tracer.enabled:
@@ -922,9 +897,7 @@ class ClassNashSolver:
             converged = False
         sample: SampleCertificate | None = None
         if self.sample_k is not None:
-            certificate = _certificate(aggregation, final)
-            epsilon = float("inf") if certificate is None else certificate.epsilon
-            sample = certify_sample(run, self.sample_k, n, epsilon, tracer)
+            sample = certify_sample(run, self.sample_k, aggregation, tracer)
         if trace:
             tracer.emit(
                 "solver.class_done",
@@ -1035,7 +1008,7 @@ class ClassNashSolver:
         history: list[FloatArray] = []
         converged = False
         polished = False
-        accepted: ClassEquilibriumCertificate | None = None
+        accepted: EquilibriumCertificate | None = None
         for sweep in range(self.max_sweeps):
             lam = flows.sum(axis=0)
             started = perf_counter() if on_sweep is not None else 0.0
@@ -1120,13 +1093,17 @@ class ClassNashSolver:
             if norm <= self.tolerance:
                 converged = True
                 if certify:
-                    accepted = _certificate(aggregation, flows / demands[:, None])
+                    accepted = certificate_or_none(
+                        aggregation, flows / demands[:, None]
+                    )
                 break
             if observed_passes == 2:
                 converged = True
                 break
             if certify and check:
-                certificate = _certificate(aggregation, flows / demands[:, None])
+                certificate = certificate_or_none(
+                    aggregation, flows / demands[:, None]
+                )
                 if certificate is not None and certificate.epsilon <= self.tolerance:
                     converged, accepted = True, certificate
                     break
@@ -1160,7 +1137,7 @@ class ClassNashSolver:
         aggregation: ClassAggregation,
         flows: FloatArray,
         tracer: Tracer | None,
-    ) -> tuple[FloatArray, ClassEquilibriumCertificate] | None:
+    ) -> tuple[FloatArray, EquilibriumCertificate] | None:
         """The :func:`newton_polish` of ``flows`` and its certificate, if
         that certifies."""
         stats = PolishStats()
@@ -1168,7 +1145,9 @@ class ClassNashSolver:
         certificate = (
             None
             if candidate is None
-            else _certificate(aggregation, candidate / aggregation.demands[:, None])
+            else certificate_or_none(
+                aggregation, candidate / aggregation.demands[:, None]
+            )
         )
         epsilon = float("inf") if certificate is None else certificate.epsilon
         if tracer is not None:

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._typing import FloatArray
 from repro.core.best_response import optimal_fractions_batch
 from repro.core.model import DistributedSystem
 from repro.core.strategy import StrategyProfile
+from repro.queueing.mm1 import expected_response_time
 
 __all__ = [
     "EquilibriumCertificate",
@@ -36,7 +38,8 @@ class EquilibriumCertificate:
         ``D_j(profile) - D_j(best response)`` per user; nonnegative up to
         round-off, zero at an exact equilibrium.
     user_times:
-        Expected response time of each user under the profile.
+        Expected response time of each user (of each class's members, for
+        a class-space certificate) under the profile.
     best_response_times:
         Each user's unilaterally achievable optimum.
     epsilon:
@@ -53,25 +56,46 @@ class EquilibriumCertificate:
         return self.epsilon <= tol
 
 
-def best_response_regrets(
-    system: DistributedSystem, profile: StrategyProfile
+def _regret_certificate(
+    service_rates: FloatArray,
+    demands: FloatArray,
+    rates: FloatArray,
+    fractions: FloatArray,
 ) -> EquilibriumCertificate:
-    """Compute the per-user regret certificate for ``profile``."""
-    profile.validate(system)
-    current = system.user_response_times(profile.fractions)
-    # All m best responses in one batched OPTIMAL call: row j's available
-    # rates are mu - (lam - phi_j s_j), i.e. the aggregate minus everyone
-    # else's flow.  validate() above guarantees a stable (positive) system.
-    phi = system.arrival_rates
-    flows = profile.fractions * phi[:, None]
-    available = (system.service_rates - flows.sum(axis=0))[None, :] + flows
-    best = optimal_fractions_batch(available, phi).expected_response_times
+    """The regrets of players who each route ``demands[k]`` along row ``k``.
+
+    Row ``k`` stands for the members of a class, each with job rate
+    ``rates[k]``; a user is a class of one (``demands == rates``).  One
+    member's opponents are everyone else, classmates included, so its
+    available rates are the aggregate headroom plus its own flow
+    ``mu - lam + rates_k f_k``.  All rows reply in one batched OPTIMAL
+    call.  Raises ``ValueError`` if the profile overloads a computer.
+    """
+    lam = demands @ fractions
+    headroom = service_rates - lam
+    if np.any(headroom <= 0.0):
+        raise ValueError("strategy profile violates per-computer stability")
+    current = fractions @ expected_response_time(lam, service_rates)
+    available = headroom[None, :] + rates[:, None] * fractions
+    best = optimal_fractions_batch(available, rates).expected_response_times
     regrets = current - best
     return EquilibriumCertificate(
         regrets=regrets,
         user_times=current,
         best_response_times=best,
         epsilon=float(regrets.max()),
+    )
+
+
+def best_response_regrets(
+    system: DistributedSystem, profile: StrategyProfile
+) -> EquilibriumCertificate:
+    """Per-user regret certificate for ``profile``: the singleton-class
+    case of :func:`repro.core.classes.class_best_response_regrets`."""
+    profile.validate(system)
+    phi = system.arrival_rates
+    return _regret_certificate(
+        system.service_rates, phi, phi, profile.fractions
     )
 
 

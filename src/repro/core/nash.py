@@ -54,7 +54,7 @@ from repro.core.classes import (
     UpdateOrder,
     certify_sample,
 )
-from repro.core.equilibrium import EquilibriumCertificate, best_response_regrets
+from repro.core.equilibrium import EquilibriumCertificate
 from repro.core.model import DistributedSystem
 # The per-user sampled replies stay importable from here: a sampled
 # NashSolver solve runs them through the sweep engine.
@@ -279,15 +279,9 @@ class NashSolver:
         )
         converged = run.converged
         final = StrategyProfile(run.flows / phi[:, None])
-        certificate: EquilibriumCertificate | None = None
-        if run.certificate is not None:
-            # Singleton classes: the class certificate is the per-user one.
-            certificate = EquilibriumCertificate(
-                regrets=run.certificate.regrets,
-                user_times=run.certificate.class_times,
-                best_response_times=run.certificate.best_response_times,
-                epsilon=run.certificate.epsilon,
-            )
+        # Singleton classes: the class certificate is the per-user one.
+        certificate = run.certificate
+        if certificate is not None:
             user_times = certificate.user_times
         else:
             try:
@@ -300,11 +294,7 @@ class NashSolver:
                 converged = False
         sample: SampleCertificate | None = None
         if self.sample_k is not None:
-            try:
-                epsilon = float(best_response_regrets(system, final).epsilon)
-            except ValueError:
-                epsilon = float("inf")
-            sample = certify_sample(run, self.sample_k, n, epsilon, tracer)
+            sample = certify_sample(run, self.sample_k, users, tracer)
         if trace:
             tracer.emit(
                 "solver.done",

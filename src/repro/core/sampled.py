@@ -248,9 +248,9 @@ def sampled_best_reply_batch(
 
     Row ``j`` of ``available`` is player ``j``'s foreign-free rate
     vector.  Computers outside a player's reply set are masked to zero
-    availability, which the batched water-fill
-    (:func:`~repro.core.waterfill.sqrt_waterfill_batch`) already treats
-    as unavailable per row — so the whole sampled sweep is one
+    availability, which the batched best reply
+    (:func:`~repro.core.best_response.optimal_fractions_batch`) already
+    treats as unavailable per row — so the whole sampled sweep is one
     vectorized kernel call after an O(m·k) masking pass.
     """
     rates = np.asarray(job_rates, dtype=float)

@@ -26,11 +26,9 @@ Every scalar sqrt fill, best replies included, runs one unvalidated
 kernel, :func:`sqrt_waterfill_inplace`; :func:`sqrt_waterfill` is its
 validating front end.
 
-For many-user workloads :func:`sqrt_waterfill_batch` solves ``m``
-independent sqrt fills at once on an ``(m, n)`` matrix of available rates
-with axis-wise ``argsort``/``cumsum`` — no Python loop over users — which
-is what lets the NASH Jacobi sweep, the equilibrium certificate and the
-scheme baselines scale to thousands of users (see docs/PERFORMANCE.md).
+The batched form, ``m`` independent best replies on an ``(m, n)``
+matrix of available rates, is
+:func:`repro.core.best_response.optimal_fractions_batch`.
 """
 
 from __future__ import annotations
@@ -45,9 +43,7 @@ from repro._typing import FloatArray
 __all__ = [
     "InfeasibleDemand",
     "WaterfillResult",
-    "BatchWaterfillResult",
     "sqrt_waterfill",
-    "sqrt_waterfill_batch",
     "sqrt_waterfill_inplace",
     "response_time_waterfill",
 ]
@@ -198,117 +194,6 @@ def sqrt_waterfill(capacities, demand: float) -> WaterfillResult:
                                support=np.array([], dtype=np.intp))
     _, t, support = sqrt_waterfill_inplace(a, float(demand), loads)
     return WaterfillResult(loads=loads, threshold=t, support=np.sort(support))
-
-
-@dataclass(frozen=True)
-class BatchWaterfillResult:
-    """Solutions of ``m`` independent sqrt water-filling problems.
-
-    Attributes
-    ----------
-    loads:
-        ``(m, n)`` matrix of optimal allocations, row ``j`` in the
-        *original* computer order; zero outside row ``j``'s support.
-    thresholds:
-        ``(m,)`` vector of Lagrangian thresholds ``t_j`` (``inf`` for
-        zero-demand rows).
-    support_mask:
-        ``(m, n)`` boolean matrix; ``support_mask[j, i]`` is true iff
-        computer ``i`` is in row ``j``'s optimal support.
-    """
-
-    loads: np.ndarray
-    thresholds: np.ndarray
-    support_mask: np.ndarray
-
-    def support(self, row: int) -> np.ndarray:
-        """Sorted original indices of row ``row``'s support (scalar-compatible)."""
-        return np.flatnonzero(self.support_mask[row])
-
-
-def sqrt_waterfill_batch(capacities, demands) -> BatchWaterfillResult:
-    """Solve ``m`` independent sqrt water-fills in one vectorized shot.
-
-    Row ``j`` of ``capacities`` is the available-rate vector of an
-    independent instance of the problem solved by :func:`sqrt_waterfill`
-    with demand ``demands[j]``.  All rows are solved together with
-    axis-wise ``argsort``/``cumsum`` — no Python loop over rows — so the
-    per-row cost amortizes to a few vector operations.  Nonpositive
-    capacities are treated as unavailable per row, exactly like the
-    scalar solver; zero-demand rows come back with zero loads, an
-    infinite threshold and an empty support.
-
-    Raises
-    ------
-    InfeasibleDemand
-        If any row's demand is not strictly below that row's total
-        positive capacity; carries the offending row index as ``.user``.
-    """
-    a = np.asarray(capacities, dtype=float)
-    d = np.asarray(demands, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("capacities must be a nonempty (m, n) matrix")
-    if d.shape != (a.shape[0],):
-        raise ValueError("demands must have one entry per capacity row")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("capacities must be finite")
-    if not np.all(np.isfinite(d)) or np.any(d < 0.0):
-        raise ValueError("demands must be finite and nonnegative")
-    m, n = a.shape
-
-    usable = a > 0.0
-    a_usable = np.where(usable, a, 0.0)
-    active = d > 0.0
-    capacity = a_usable.sum(axis=1)
-    infeasible = active & (d >= capacity)
-    if np.any(infeasible):
-        j = int(np.flatnonzero(infeasible)[0])
-        raise InfeasibleDemand(float(d[j]), float(capacity[j]), user=j)
-
-    # Sort each row's usable computers by capacity descending; unusable
-    # computers sink to the end (sort key -inf) with zero contribution.
-    key = np.where(usable, -a, np.inf)
-    order = np.argsort(key, axis=1, kind="stable")
-    a_sorted = np.take_along_axis(a_usable, order, axis=1)
-    roots = np.sqrt(a_sorted)
-
-    # Per-row threshold for every candidate support prefix {1..c}:
-    #   t_c = (sum_{i<=c} a_i - d) / (sum_{i<=c} sqrt(a_i)).
-    cum_a = np.cumsum(a_sorted, axis=1)
-    cum_root = np.cumsum(roots, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        thresholds = (cum_a - d[:, None]) / cum_root
-    # Largest prefix whose slowest member still gets a positive share.
-    valid = roots > thresholds
-    if np.any(active & ~valid[:, 0]):
-        # Cannot happen for d > 0 (t_1 < sqrt(a_1)); mirrors the scalar
-        # solver's defensive assertion.
-        raise AssertionError("sqrt water-fill: no valid support prefix")
-    cuts = n - valid[:, ::-1].argmax(axis=1)
-    cuts = np.where(active, cuts, 0)
-
-    t = np.take_along_axis(
-        thresholds, np.maximum(cuts - 1, 0)[:, None], axis=1
-    )
-    in_support_sorted = np.arange(n)[None, :] < cuts[:, None]
-    loads_sorted = np.where(in_support_sorted, a_sorted - t * roots, 0.0)
-    # Guard against tiny negative round-off on each boundary computer,
-    # then rescale each row so it meets its demand exactly.
-    np.maximum(loads_sorted, 0.0, out=loads_sorted)
-    row_sums = loads_sorted.sum(axis=1)
-    scale = np.divide(
-        d, row_sums, out=np.zeros_like(d), where=row_sums > 0.0
-    )
-    loads_sorted *= scale[:, None]
-
-    loads = np.zeros_like(a)
-    np.put_along_axis(loads, order, loads_sorted, axis=1)
-    support_mask = np.zeros((m, n), dtype=bool)
-    np.put_along_axis(support_mask, order, in_support_sorted, axis=1)
-    out_thresholds = np.where(active, t[:, 0], np.inf)
-    return BatchWaterfillResult(
-        loads=loads, thresholds=out_thresholds, support_mask=support_mask
-    )
 
 
 def response_time_waterfill(capacities, demand: float) -> WaterfillResult:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.equilibrium import best_response_regrets
+from repro.core.classes import ClassAggregation, certificate_or_none
 from repro.core.model import DistributedSystem
 from repro.core.nash import DEFAULT_MAX_SWEEPS, DEFAULT_TOLERANCE, Initialization
 from repro.core.sampled import (
@@ -183,10 +183,9 @@ def run_sampled_nash_protocol(
         sample_k=sample_k,
         seed=seed,
     )
-    try:
-        epsilon = float(best_response_regrets(system, run.profile).epsilon)
-    except ValueError:  # the final profile overloads a computer
-        epsilon = float("inf")
+    exact = certificate_or_none(
+        ClassAggregation.of_users(system), run.profile.fractions
+    )
     norms = run.norms
     certificate = SampleCertificate(
         k=k,
@@ -194,7 +193,7 @@ def run_sampled_nash_protocol(
         sweeps=int(norms.size),
         polls=run.polls,
         sampled_norm=float(norms[-1]) if norms.size else 0.0,
-        epsilon=epsilon,
+        epsilon=float("inf") if exact is None else exact.epsilon,
     )
     result = _finish(system, run, tolerance, tracer, "sampled", certificate)
     return SampledProtocolOutcome(
@@ -204,5 +203,5 @@ def run_sampled_nash_protocol(
         bus_messages=run.messages,
         polls=run.polls,
         sample_k=k,
-        epsilon=epsilon,
+        epsilon=certificate.epsilon,
     )

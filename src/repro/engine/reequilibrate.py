@@ -10,17 +10,18 @@ iterate and then on its Newton polish
 equilibrium where the sweeps converge linearly), so a churn epoch, warm
 or cold, typically certifies after a single sweep.  The certificate that stopped
 the solve is the epoch's certificate; only a solve that the norm rule or
-the budget ended is certified afresh with
-:func:`repro.core.equilibrium.best_response_regrets`.  ``stop="norm"``
-is the paper's sweep-norm rule alone, which the legacy snapshot driver
-uses for bit-exact parity.
+the budget ended is certified afresh, with the same certificate
+(:func:`repro.core.classes.class_best_response_regrets` on singleton
+classes).  ``stop="norm"`` is the paper's sweep-norm rule alone, which
+the legacy snapshot driver uses for bit-exact parity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.equilibrium import EquilibriumCertificate, best_response_regrets
+from repro.core.classes import ClassAggregation, certificate_or_none
+from repro.core.equilibrium import EquilibriumCertificate
 from repro.core.model import DistributedSystem
 from repro.core.nash import Initialization, NashResult, NashSolver, StopRule
 from repro.core.strategy import StrategyProfile
@@ -79,10 +80,10 @@ def converge_bounded(
     result = solver.solve(system, init, tracer=tracer)
     certificate = result.certificate
     if certificate is None:
-        try:
-            certificate = best_response_regrets(system, result.profile)
-        except ValueError:
-            pass  # Infeasible profile (budget expired mid-repair).
+        # None for an infeasible profile (budget expired mid-repair).
+        certificate = certificate_or_none(
+            ClassAggregation.of_users(system), result.profile.fractions
+        )
     return ReequilibrationOutcome(
         result=result,
         certificate=certificate,

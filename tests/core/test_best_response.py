@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.core.best_response import (
     best_response,
-    best_response_value,
     optimal_fractions,
 )
 from repro.core.model import DistributedSystem
@@ -177,13 +176,6 @@ class TestBestResponseOnSystems:
         reply_crowded = best_response(two_by_two, crowded, 0)
         # When user 1 crowds computer 0, user 0 shifts mass away from it.
         assert reply_crowded.fractions[0] < reply_idle.fractions[0]
-
-    def test_best_response_value_shortcut(self, two_by_two):
-        profile = StrategyProfile.uniform(2, 2)
-        reply = best_response(two_by_two, profile, 0)
-        assert best_response_value(two_by_two, profile, 0) == pytest.approx(
-            reply.expected_response_time
-        )
 
     def test_improves_on_current_strategy(self, table1_medium):
         profile = StrategyProfile.proportional(table1_medium)

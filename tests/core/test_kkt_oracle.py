@@ -21,8 +21,10 @@ directly, not against a sibling implementation: the scalar kernel
 ``sqrt_waterfill_inplace``, its validating front ends ``sqrt_waterfill``
 and ``optimal_fractions``, the sweep engine's fused reply, the sampled
 reply with a full sample, a ring agent's update, the symmetric class
-fill and, row by row, the batch kernels ``optimal_fractions_batch`` and
-``sampled_best_reply_batch`` (with a full sample).
+fill and, row by row, the one batched kernel ``optimal_fractions_batch``
+and ``sampled_best_reply_batch`` (with a full sample), which runs it on
+masked rates.  The equilibrium certificate, per user or per class, takes
+its best-reply times from that same batched kernel.
 
 The Newton polish (``newton_polish``) is checked the same way, one class
 row at a time against the availability the rest of the polished profile

@@ -1,10 +1,11 @@
-"""Parity tests for the batched water-fill and best-response kernels.
+"""Parity tests for the one batched best-reply kernel.
 
-The batch kernels must produce the *same numbers* as looping the scalar
-solvers over the rows — loads, thresholds and supports — on randomized
-heterogeneous instances, including rows with unavailable computers and
-zero demand.  These are the property-style guarantees the vectorized
-NASH core rests on (see docs/PERFORMANCE.md).
+``optimal_fractions_batch`` is the batched sqrt water-fill of Theorem
+2.1.  Each of its rows must carry the *same numbers* as the scalar
+solvers on that row — flows, fractions, expected time and support — on
+randomized heterogeneous instances, including rows with unavailable
+(nonpositive-rate) computers.  These are the property-style guarantees
+the vectorized NASH core rests on (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ from repro.core.best_response import (
     optimal_fractions,
     optimal_fractions_batch,
 )
-from repro.core.waterfill import (
-    InfeasibleDemand,
-    sqrt_waterfill,
-    sqrt_waterfill_batch,
-)
+from repro.core.waterfill import InfeasibleDemand, sqrt_waterfill
 
 
 def random_instances(rng, m: int, n: int):
@@ -35,52 +32,49 @@ def random_instances(rng, m: int, n: int):
 
 
 class TestSqrtWaterfillBatchParity:
+    """Row flows ``fractions * d`` against the scalar ``sqrt_waterfill``."""
+
     @pytest.mark.parametrize("m,n", [(1, 1), (7, 3), (40, 13), (120, 29)])
     def test_matches_scalar_loop(self, rng, m, n):
         a, d = random_instances(rng, m, n)
-        batch = sqrt_waterfill_batch(a, d)
+        batch = optimal_fractions_batch(a, d)
         for j in range(m):
             scalar = sqrt_waterfill(a[j], float(d[j]))
             np.testing.assert_allclose(
-                batch.loads[j], scalar.loads, rtol=1e-12, atol=1e-12
+                batch.fractions[j] * d[j], scalar.loads, rtol=1e-12, atol=1e-12
             )
-            assert batch.thresholds[j] == pytest.approx(
-                scalar.threshold, rel=1e-12
+            np.testing.assert_array_equal(
+                np.flatnonzero(batch.fractions[j] > 0.0), scalar.support
             )
-            np.testing.assert_array_equal(batch.support(j), scalar.support)
 
     def test_zero_demand_rows(self, rng):
+        # A best reply needs a positive job rate; a zero row is rejected
+        # rather than answered with an empty strategy.
         a, d = random_instances(rng, 6, 5)
         d[2] = 0.0
-        d[4] = 0.0
-        batch = sqrt_waterfill_batch(a, d)
-        for j in (2, 4):
-            assert not batch.loads[j].any()
-            assert np.isinf(batch.thresholds[j])
-            assert batch.support(j).size == 0
-        # The other rows are unaffected by the zero-demand neighbours.
-        np.testing.assert_allclose(
-            batch.loads[0], sqrt_waterfill(a[0], float(d[0])).loads
-        )
+        with pytest.raises(ValueError, match="strictly positive"):
+            optimal_fractions_batch(a, d)
 
     def test_unusable_computers_get_nothing(self, rng):
         a, d = random_instances(rng, 10, 8)
-        batch = sqrt_waterfill_batch(a, d)
-        assert not batch.loads[a <= 0.0].any()
-        assert not batch.support_mask[a <= 0.0].any()
+        batch = optimal_fractions_batch(a, d)
+        assert not batch.fractions[a <= 0.0].any()
+        assert np.all(np.isfinite(batch.expected_response_times))
 
     def test_demands_met_exactly(self, rng):
         a, d = random_instances(rng, 30, 6)
-        batch = sqrt_waterfill_batch(a, d)
-        np.testing.assert_allclose(batch.loads.sum(axis=1), d, rtol=1e-12)
-        assert np.all(batch.loads >= 0.0)
+        batch = optimal_fractions_batch(a, d)
+        np.testing.assert_allclose(
+            (batch.fractions * d[:, None]).sum(axis=1), d, rtol=1e-12
+        )
+        assert np.all(batch.fractions >= 0.0)
 
 
 class TestSqrtWaterfillBatchValidation:
     def test_infeasible_row_reports_user(self):
         a = np.array([[4.0, 4.0], [1.0, 1.0]])
         with pytest.raises(InfeasibleDemand) as excinfo:
-            sqrt_waterfill_batch(a, [2.0, 5.0])
+            optimal_fractions_batch(a, [2.0, 5.0])
         err = excinfo.value
         assert err.user == 1
         assert err.demand == pytest.approx(5.0)
@@ -90,19 +84,28 @@ class TestSqrtWaterfillBatchValidation:
     def test_infeasible_is_a_value_error(self):
         a = np.array([[1.0, 1.0]])
         with pytest.raises(ValueError):
-            sqrt_waterfill_batch(a, [7.0])
+            optimal_fractions_batch(a, [7.0])
+        # A row whose computers are all unusable has no capacity at all.
+        with pytest.raises(InfeasibleDemand) as excinfo:
+            optimal_fractions_batch(np.array([[2.0, 1.0], [0.0, -1.0]]), [1.0, 0.5])
+        assert excinfo.value.user == 1
+        assert excinfo.value.capacity == 0.0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match=r"\(m, n\) matrix"):
-            sqrt_waterfill_batch(np.ones(3), [1.0])
-        with pytest.raises(ValueError, match="one entry per capacity row"):
-            sqrt_waterfill_batch(np.ones((2, 3)), [1.0])
+            optimal_fractions_batch(np.ones(3), [1.0])
+        with pytest.raises(ValueError, match=r"\(m, n\) matrix"):
+            optimal_fractions_batch(np.ones((0, 3)), [])
+        with pytest.raises(ValueError, match="one entry per"):
+            optimal_fractions_batch(np.ones((2, 3)), [1.0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            sqrt_waterfill_batch(np.array([[np.inf, 1.0]]), [0.5])
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            sqrt_waterfill_batch(np.ones((1, 2)), [-0.5])
+            optimal_fractions_batch(np.array([[np.inf, 1.0]]), [0.5])
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            optimal_fractions_batch(np.ones((1, 2)), [np.nan])
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            optimal_fractions_batch(np.ones((1, 2)), [-0.5])
 
 
 class TestInfeasibleDemandScalar:
@@ -120,12 +123,12 @@ class TestInfeasibleDemandScalar:
 
 
 class TestOptimalFractionsBatchParity:
+    """Each row against the scalar ``optimal_fractions``."""
+
     def test_matches_scalar_loop(self, rng):
-        m, n = 25, 9
-        a = rng.uniform(1.0, 80.0, size=(m, n))
-        d = rng.uniform(0.1, 0.8, size=m) * a.sum(axis=1)
+        a, d = random_instances(rng, 25, 9)
         batch = optimal_fractions_batch(a, d)
-        for j in range(m):
+        for j in range(25):
             scalar = optimal_fractions(a[j], float(d[j]))
             np.testing.assert_allclose(
                 batch.fractions[j], scalar.fractions, rtol=1e-12, atol=1e-12
@@ -133,11 +136,8 @@ class TestOptimalFractionsBatchParity:
             assert batch.expected_response_times[j] == pytest.approx(
                 scalar.expected_response_time, rel=1e-12
             )
-            assert batch.thresholds[j] == pytest.approx(
-                scalar.threshold, rel=1e-12
-            )
             np.testing.assert_array_equal(
-                np.flatnonzero(batch.support_mask[j]), scalar.support
+                np.flatnonzero(batch.fractions[j] > 0.0), scalar.support
             )
 
     def test_fractions_rows_sum_to_one(self, rng):

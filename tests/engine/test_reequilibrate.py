@@ -146,11 +146,11 @@ class TestReusedCertificate:
         engine = OnlineEquilibriumEngine(SYSTEM)
         calls = []
 
-        def counting(system, profile):
+        def counting(aggregation, fractions):
             calls.append(1)
-            return best_response_regrets(system, profile)
+            return classes.certificate_or_none(aggregation, fractions)
 
-        monkeypatch.setattr(reequilibrate, "best_response_regrets", counting)
+        monkeypatch.setattr(reequilibrate, "certificate_or_none", counting)
         report = engine.process_epoch(PhiDrift(factor=1.05))
         assert report.warm_started and report.certified
         assert calls == []
