@@ -172,8 +172,7 @@ def optimal_fractions_batch(available_rates, job_rates) -> BatchBestResponse:
     # a usable first computer, so the denominators are positive.
     thresholds = (np.cumsum(a_sorted, axis=1) - d[:, None]) / np.cumsum(roots, axis=1)
     valid = roots > thresholds
-    if not valid[:, 0].all():  # t_1 < sqrt(a_1) unless d is below round-off
-        raise AssertionError("sqrt water-fill: no valid support prefix")
+    valid[:, 0] = True  # t_1 < sqrt(a_1) unless d is below round-off
     cuts = n - valid[:, ::-1].argmax(axis=1)
     t = np.take_along_axis(thresholds, (cuts - 1)[:, None], axis=1)
     support = np.arange(n) < cuts[:, None]
@@ -181,7 +180,15 @@ def optimal_fractions_batch(available_rates, job_rates) -> BatchBestResponse:
     # Guard against tiny negative round-off on each boundary computer,
     # then rescale each row so it meets its demand exactly.
     np.maximum(flows, 0.0, out=flows)
-    flows *= (d / flows.sum(axis=1))[:, None]
+    # A demand below its rates' round-off loses every flow: it goes to its
+    # row's fastest computers, split evenly over ties.
+    totals = flows.sum(axis=1)
+    lost = totals <= 0.0
+    if lost.any():
+        support[lost] = fastest = a_sorted[lost] == a_sorted[lost, :1]
+        flows[lost] = fastest * (d[lost] / fastest.sum(axis=1))[:, None]
+        totals[lost] = d[lost]
+    flows *= (d / totals)[:, None]
 
     # D_j = (1/phi_j) sum_i x_i / (a_i - x_i) over the support, computed
     # in sorted space like the scalar kernel.

@@ -60,6 +60,7 @@ wins and measured numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Iterable, Literal
@@ -254,19 +255,6 @@ class ClassAggregation:
         tiled: FloatArray = np.tile(row, (self.n_classes, 1))
         return tiled
 
-    def as_demand_system(self) -> DistributedSystem:
-        """The ``c``-player system whose arrival rates are the class demands.
-
-        *Not* the same game (a class member's opponents include its
-        classmates), but it has identical loads/feasibility structure, so
-        it drives profile repair and warm starts
-        (:func:`repro.core.continuation.warm_start_profile`) in class
-        space.
-        """
-        return DistributedSystem(
-            service_rates=self.service_rates, arrival_rates=self.demands
-        )
-
     # ------------------------------------------------------------------
     # Expansion / contraction between user and class space
     # ------------------------------------------------------------------
@@ -282,16 +270,6 @@ class ClassAggregation:
             raise ValueError("synthetic aggregation has no user mapping")
         f = self._validated(class_fractions)
         return StrategyProfile(f[self.class_of])
-
-    def expand_user_times(self, class_times: FloatArray) -> FloatArray:
-        """Per-user expected response times from per-class member times."""
-        if self.class_of is None:
-            raise ValueError("synthetic aggregation has no user mapping")
-        times = np.asarray(class_times, dtype=float)
-        if times.shape != (self.n_classes,):
-            raise ValueError("class_times must have one entry per class")
-        expanded: FloatArray = times[self.class_of]
-        return expanded
 
     def contract(self, profile: StrategyProfile | FloatArray) -> FloatArray:
         """Demand-weighted class rows from an ``(m, n)`` per-user profile.
@@ -443,87 +421,133 @@ def certificate_or_none(
 # ----------------------------------------------------------------------
 _FILL_MAX_ITERS = 80
 _FILL_RTOL = 1e-14
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _symmetric_class_fill(
-    m: FloatArray, demand: float, count: float
+    m: FloatArray,
+    demand: float,
+    count: float,
+    offset: FloatArray | None = None,
 ) -> tuple[FloatArray, float]:
     """Symmetric intra-class equilibrium fill of ``demand`` over rates ``m``.
 
     ``m`` holds the class's foreign-free rates (``mu - foreign load``);
-    the class's ``count`` members, each with job rate ``demand / count``,
-    play a symmetric Nash equilibrium among themselves while the rest of
-    the world is frozen.  On the support the per-member KKT condition
-    gives, for the residual gap ``g_i = m_i - y_i`` (``y`` the class
-    *total* on computer ``i``) and multiplier ``t``::
+    its ``count`` members, each with job rate ``demand / count``, play a
+    symmetric Nash equilibrium among themselves against the frozen rest
+    of the world, paying ``offset[i]`` more per job sent to computer
+    ``i`` (the delays of :mod:`repro.core.comm_delay`).  The member KKT
+    condition gives the gap ``g_i = m_i - y_i`` (``y`` the class total)
+    as the root of ``c s_i g^2 - (c - 1) g - m_i = 0`` with ``s_i =
+    alpha - t_i``, and the support is a prefix in ``b_i = 1/m_i + t_i``
+    order.  The fill finds that prefix first (testing the one a
+    closed-form guess of ``alpha`` picks; on a miss, galloping away from
+    it and bisecting over the breakpoints), then runs Newton in
+    ``log(alpha - max t_i)`` on that smooth piece from the guess,
+    bisecting steps that leave the piece (docs/THEORY.md §7).  A demand
+    below the rates' round-off goes to the cheapest computers, split
+    evenly over ties.
 
-        c g_i^2 - t^2 (c - 1) g_i - t^2 m_i = 0
-
-    whose positive root is monotone in ``t``, with the same support rule
-    as the plain water-fill (``i`` carries flow iff ``m_i > t^2``); for
-    ``c = 1`` it degenerates to ``g_i = t sqrt(m_i)`` — the paper's
-    closed form.  We solve the scalar conservation equation
-    ``sum_i y_i(u) = demand`` in ``u = t^2`` by safeguarded Newton.
-
-    Returns the class-total allocation ``y`` (full length, zeros off the
-    support) and the member expected response time.  Raises
+    Returns the class-total allocation ``y`` (zeros off the support) and
+    the member cost (expected response time plus mean offset).  Raises
     :class:`InfeasibleDemand` when ``demand`` is at or above the total
-    positive capacity.
-
-    This is the key fix over the naive ``count * best_reply`` update:
-    jumping *all* members of a class to the member best reply at once is
-    intra-class Jacobi and oscillates for large counts, while this fill
-    lands each class exactly on its internal equilibrium, so the outer
-    Gauss-Seidel inherits the per-user iteration's contraction.
+    positive capacity.  Landing each class on its internal equilibrium,
+    not moving all members to the member best reply at once (intra-class
+    Jacobi, which oscillates), lets the outer Gauss-Seidel inherit the
+    per-user iteration's contraction.
     """
     pos = m > 0.0
     mp = m[pos]
     cap = float(mp.sum())
     if demand >= cap:
         raise InfeasibleDemand(demand, cap)
-    c = count
+    c = float(count)
     c1 = c - 1.0
-    # Bracket in u = t^2: u -> 0 gives y -> m (sum = cap > demand),
-    # u >= max(m) empties the support (sum = 0 < demand).
-    lo = 0.0
-    hi = float(mp.max())
-    u = hi * (1.0 - demand / cap)
-    if u <= lo or u >= hi:
-        u = 0.5 * hi
-    y = mp.copy()
+    b = 1.0 / mp
+    t = None if offset is None else offset[pos]
+    if t is not None:
+        b += t
+    order = b.argsort()
+    ms = mp[order]
+    b = b[order]
+    if t is not None:
+        t = t[order]
+    n = ms.size
+    cum_m = np.add.accumulate(ms)
+
+    # alpha for every prefix from the first that can carry the demand:
+    # mean offset + ((c - 1) G k + R^2) / (c G^2), G and R the sums of
+    # gaps and roots (exact for c = 1 with equal offsets, equal rates).
+    first = int(np.searchsorted(cum_m, demand, side="right"))
+    roots = np.sqrt(ms)
+    cum_r = np.add.accumulate(roots)
+    gap_sum = cum_m[first:] - demand
+    guess = c1 * gap_sum * np.arange(first + 1, n + 1) + cum_r[first:] ** 2
+    guess /= c * gap_sum * gap_sum
+    if t is not None:
+        guess += (np.add.accumulate(t * roots) / cum_r)[first:]
+    inside = b[first:] < guess
+    k = n - int(inside[::-1].argmax()) if inside.any() else first + 1
+
+    def gaps(s: float | FloatArray, size: int) -> tuple[FloatArray, FloatArray]:
+        # g_i and R_i at s_i = alpha - t_i over the first ``size`` computers.
+        root = np.sqrt(c1 * c1 + 4.0 * c * s * ms[:size])
+        return (c1 + root) / (2.0 * c * s), root
+
+    # Support size k: prefix k falls short of the demand at alpha = b_k,
+    # prefix k + 1 does not at b_{k+1}.  Gallop from the guess, then bisect.
+    lo_k, hi_k, step = first + 1, n + 1, 1
+    while hi_k - lo_k > 1:
+        s = b[k - 1] if t is None else b[k - 1] - t[:k]
+        if gaps(s, k)[0].sum() > cum_m[k - 1] - demand:
+            lo_k, k = k, k + step
+        else:
+            hi_k, k = k, k - step
+        step *= 2
+        if not lo_k < k < hi_k:
+            k = (lo_k + hi_k) // 2
+    k = lo_k
+
+    mk = ms[:k]
+    tau = 0.0 if t is None else float(t[:k].max())
+    delta: float | FloatArray = 0.0 if t is None else tau - t[:k]
+    target = float(cum_m[k - 1]) - demand
+    # alpha - tau stays positive on the piece: b_k > t_i for i < k.
+    lo = math.log(max(float(b[k - 1]) - tau, _TINY))
+    hi = math.inf if k == n else math.log(max(float(b[k]) - tau, _TINY))
+    start = float(guess[k - 1 - first]) - tau
+    v = math.log(start) if start > 0.0 and lo < math.log(start) < hi else lo
+    tol = _FILL_RTOL * demand + 8.0 * _EPS * float(cum_m[k - 1])
     for _ in range(_FILL_MAX_ITERS):
-        root = np.sqrt((u * c1) ** 2 + 4.0 * c * u * mp)
-        g = (u * c1 + root) / (2.0 * c)
-        active = mp > g
-        y = np.where(active, mp - g, 0.0)
-        h = float(y.sum()) - demand
-        if h > 0.0:
-            lo = u
-        else:
-            hi = u
-        if abs(h) <= _FILL_RTOL * demand:
+        e = math.exp(v)
+        g, root = gaps(e + delta, k)
+        total_gap = float(g.sum())
+        lo, hi = (v, hi) if total_gap > target else (lo, v)
+        if abs(total_gap - target) <= tol:
             break
-        # dh/du = -sum over the support of dg/du (root > 0 for u > 0).
-        dg = (c1 + (2.0 * u * c1 * c1 + 4.0 * c * mp) / (2.0 * root)) / (
-            2.0 * c
-        )
-        slope = float(dg[active].sum())
-        if slope > 0.0:
-            u_next = u + h / slope
-        else:
-            u_next = 0.5 * (lo + hi)
-        if u_next <= lo or u_next >= hi:
-            u_next = 0.5 * (lo + hi)
-        u = u_next
-    # Exact conservation: rescale the residual Newton error away (the
-    # relative correction is at most ~_FILL_RTOL).
+        # d(log sum g)/dv = -(c sum g^2 / R) e / sum g.
+        slope = c * float((g * g / root).sum()) * e / total_gap
+        v_next = v + math.log(total_gap / target) / slope
+        if not lo < v_next < hi:
+            v_next = v + 1.0 if hi == math.inf else 0.5 * (lo + hi)
+        if abs(v_next - v) <= 4.0 * _EPS * max(1.0, abs(v)):
+            break
+        v = v_next
+    y = mk - g
+    np.maximum(y, 0.0, out=y)
     total = float(y.sum())
-    y *= demand / total
-    gap = mp - y
-    d = float((y / gap)[y > 0.0].sum()) / demand  # reprolint: allow=R003 gap > 0 on the support by construction
+    if total > 0.0:
+        y *= demand / total  # exact conservation
+    else:
+        cheapest = b[:k] == b[0]
+        y = np.where(cheapest, demand / np.count_nonzero(cheapest), 0.0)
+    d = float((y / (mk - y)).sum())  # reprolint: allow=R003 y < m on the support by construction
+    if t is not None:
+        d += float(y @ t[:k])
     out = np.zeros(m.shape[0])
-    out[pos] = y
-    return out, d
+    out[np.flatnonzero(pos)[order[:k]]] = y
+    return out, d / demand
 
 
 def _fused_class_reply_inplace(
@@ -533,6 +557,7 @@ def _fused_class_reply_inplace(
     own: FloatArray,
     lam: FloatArray,
     avail: FloatArray,
+    offset: FloatArray | None = None,
 ) -> float:
     """One class's equilibrium reply with in-place aggregate bookkeeping.
 
@@ -543,19 +568,20 @@ def _fused_class_reply_inplace(
     class's foreign-free rates.  ``avail`` is a preallocated ``(n,)``
     scratch buffer.  ``demand`` is the class's true member-rate sum
     (``ClassAggregation.demands[k]``, *not* re-derived as ``rate *
-    count`` — see :func:`aggregate_users`).  Returns the member's new
-    expected response time.
+    count`` — see :func:`aggregate_users`).  ``offset`` is the class's
+    per-job cost row (communication delays).  Returns the member's new
+    cost: expected response time plus mean offset.
 
-    A singleton class (every user of a :class:`~repro.core.nash.NashSolver`
-    solve) takes the Theorem 2.1 water-fill,
-    :func:`~repro.core.waterfill.sqrt_waterfill_inplace`, which writes
-    its flows straight into ``own``.  A multi-member class lands on its
-    symmetric intra-class equilibrium via :func:`_symmetric_class_fill`.
+    A singleton class without an offset (every user of a
+    :class:`~repro.core.nash.NashSolver` solve) takes the Theorem 2.1
+    water-fill, :func:`~repro.core.waterfill.sqrt_waterfill_inplace`,
+    which writes its flows straight into ``own``; every other class
+    takes :func:`_symmetric_class_fill`.
     """
     np.subtract(mu, lam, out=avail)
     avail += own
-    if count > 1.0:
-        y, d = _symmetric_class_fill(avail, demand, count)
+    if count > 1.0 or offset is not None:
+        y, d = _symmetric_class_fill(avail, demand, count, offset)
         lam -= own
         own[:] = y
         lam += own
@@ -924,11 +950,13 @@ class ClassNashSolver:
         on_sweep: SweepHook | None = None,
         *,
         tracer: Tracer | None = None,
+        offsets: FloatArray | None = None,
     ) -> SweepRun:
         """The sweep engine: best-reply sweeps from a ``(c, n)`` profile.
 
         The one implementation of the paper's NASH loop, shared by
-        :meth:`solve` and :meth:`repro.core.nash.NashSolver.solve`.  Each
+        :meth:`solve`, :meth:`repro.core.nash.NashSolver.solve` and
+        :meth:`repro.core.comm_delay.DelayedNashSolver.solve`.  Each
         sweep refreshes the aggregate ``lam`` (against incremental
         round-off drift), then either lets every class reply in turn to
         the freshest profile (Gauss-Seidel: ``"roundrobin"`` or
@@ -938,6 +966,12 @@ class ClassNashSolver:
         never written.  A certificate check that fails on the sweep
         iterate retries on its :func:`newton_polish`; ``tracer`` receives
         the ``solver.polish`` events.
+
+        ``offsets`` (``(c, n)``, the communication delays) adds a cost
+        per job to every reply (:func:`_symmetric_class_fill` with the
+        class's row) and to the costs the norm compares.  No certificate,
+        polish or sampled reply knows them, so they need ``stop="norm"``
+        and no ``sample_k < n``.
         """
         mu = aggregation.service_rates
         demands = aggregation.demands
@@ -954,6 +988,11 @@ class ClassNashSolver:
         # parity) and only the certificate accounting differs.
         sample_k = 0 if self.sample_k is None else self.sample_k
         sampling = 0 < sample_k < n
+        rows: list[FloatArray | None] = [None] * c
+        if offsets is not None:
+            if sampling or self.stop != "norm":
+                raise ValueError("offsets need stop='norm' and no sample_k < n")
+            rows = list(offsets)
         if sampling and not singleton and self.order == "simultaneous":
             # Sampled classes replying at once herd onto the same probed
             # computers and oscillate: the budget ends unconverged.
@@ -998,6 +1037,9 @@ class ClassNashSolver:
                 last_times = aggregation.class_times(fractions)
             except ValueError:
                 pass
+            else:
+                if offsets is not None:
+                    last_times += (fractions * offsets).sum(axis=1)
 
         # Hot loop state: (c, n) class *total* flows and the running
         # aggregate, updated with a rank-1 delta per reply.
@@ -1029,7 +1071,7 @@ class ClassNashSolver:
                     flows[:] = batch.flows
                     times = batch.expected_response_times
                     polls += batch.polls
-                elif singleton:
+                elif singleton and offsets is None:
                     replies = optimal_fractions_batch(
                         available, aggregation.class_rates
                     )
@@ -1037,11 +1079,12 @@ class ClassNashSolver:
                     times = replies.expected_response_times
                 else:
                     # Each class lands on its internal symmetric
-                    # equilibrium against the frozen aggregate.
+                    # equilibrium (with offsets, its delayed reply)
+                    # against the frozen aggregate.
                     times = np.empty(c)
                     for k in range(c):
                         flows[k], times[k] = _symmetric_class_fill(
-                            available[k], demand_list[k], counts[k]
+                            available[k], demand_list[k], counts[k], rows[k]
                         )
                 deltas = np.abs(times - last_times)
                 norm = float((counts_f * deltas).sum())
@@ -1074,7 +1117,7 @@ class ClassNashSolver:
                         flows[k] = y
                     else:
                         d = _fused_class_reply_inplace(
-                            mu, counts[k], demand_list[k], flows[k], lam, avail
+                            mu, counts[k], demand_list[k], flows[k], lam, avail, rows[k]
                         )
                     delta = abs(d - last_times[k])
                     norm += counts[k] * delta

@@ -15,14 +15,13 @@ the KKT conditions become
     a_i / (a_i - x_i)^2 + t_i = alpha        on the support,
     1/a_i + t_i >= alpha                     off the support,
 
-so ``x_i(alpha) = a_i - sqrt(a_i / (alpha - t_i))`` and the multiplier
-``alpha`` is fixed by flow conservation.  ``sum_i x_i(alpha)`` is
-continuous and strictly increasing in ``alpha``, which makes bisection
-exact and fast; that is what :func:`delayed_best_response` implements
-(vectorized over computers inside each bisection step).
-
-The best-reply iteration and equilibrium verification then lift to the
-delayed game unchanged (:class:`DelayedNashSolver`).
+so ``x_i(alpha) = a_i - sqrt(a_i / (alpha - t_i))`` on a support that
+is a prefix in ``1/a_i + t_i`` order, with ``alpha`` fixed by flow
+conservation and no closed form once the delays differ.  The reply is
+the one-member symmetric class fill with the delays as its offset
+(:func:`repro.core.classes._symmetric_class_fill`), and
+:class:`DelayedNashSolver` runs the class engine's sweep loop under the
+paper's norm rule: no equilibrium certificate knows the delays yet.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.classes import ClassAggregation, ClassNashSolver, _symmetric_class_fill
 from repro.core.model import DistributedSystem
 from repro.core.strategy import StrategyProfile
 
@@ -40,9 +40,6 @@ __all__ = [
     "DelayedNashResult",
     "DelayedNashSolver",
 ]
-
-_BISECTION_TOL = 1e-13
-_MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -95,11 +92,9 @@ def delayed_best_response(
     """Optimal fractions for one user of the delayed game.
 
     Solves ``min sum_i x_i/(a_i - x_i) + t_i x_i`` over ``x >= 0`` with
-    ``sum x = phi_j`` by bisecting on the KKT multiplier ``alpha``.  With
-    all delays zero this reduces exactly to the paper's OPTIMAL water-fill
-    (a property the tests pin down).
-
-    Returns the fraction vector (loads divided by ``job_rate``).
+    ``sum x = phi_j`` and returns ``x / phi_j``: validates, then runs the
+    one-member class fill with the delays as its offset.  With all delays
+    zero this is the paper's OPTIMAL water-fill (the tests pin it down).
     """
     a = np.asarray(available_rates, dtype=float)
     t = np.asarray(delays, dtype=float)
@@ -107,46 +102,7 @@ def delayed_best_response(
         raise ValueError("rates and delays must be equal-length vectors")
     if job_rate <= 0.0:
         raise ValueError("job rate must be positive")
-    usable = a > 0.0
-    if job_rate >= a[usable].sum():
-        raise ValueError("job rate must be below the total available rate")
-
-    a_use = a[usable]
-    t_use = t[usable]
-
-    def loads_at(alpha: float) -> np.ndarray:
-        # x_i(alpha) = a_i - sqrt(a_i / (alpha - t_i)) where positive.
-        slack = alpha - t_use
-        x = np.zeros_like(a_use)
-        active = slack > 1.0 / a_use  # marginal cost at 0 below alpha
-        x[active] = a_use[active] - np.sqrt(a_use[active] / slack[active])
-        return x
-
-    # Bracket alpha: at alpha_lo no computer is attractive (total = 0);
-    # grow alpha_hi until the induced flow covers the demand.
-    alpha_lo = float((1.0 / a_use + t_use).min())
-    alpha_hi = alpha_lo + 1.0
-    for _ in range(200):  # pragma: no branch
-        if loads_at(alpha_hi).sum() > job_rate:
-            break
-        alpha_hi = alpha_lo + 2.0 * (alpha_hi - alpha_lo)
-    else:  # pragma: no cover - demand < capacity guarantees a bracket
-        raise AssertionError("failed to bracket the KKT multiplier")
-
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (alpha_lo + alpha_hi)
-        if loads_at(mid).sum() < job_rate:
-            alpha_lo = mid
-        else:
-            alpha_hi = mid
-        if alpha_hi - alpha_lo <= _BISECTION_TOL * max(1.0, alpha_hi):
-            break
-    x_use = loads_at(alpha_hi)
-    total = x_use.sum()
-    if total > 0.0:
-        x_use *= job_rate / total
-    loads = np.zeros_like(a)
-    loads[usable] = x_use
+    loads, _ = _symmetric_class_fill(a, float(job_rate), 1.0, t)
     return loads / job_rate
 
 
@@ -168,37 +124,22 @@ class DelayedNashSolver:
     max_sweeps: int = 500
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+        self._sweeps()  # ClassNashSolver validates tolerance and max_sweeps
+
+    def _sweeps(self) -> ClassNashSolver:
+        return ClassNashSolver(self.tolerance, self.max_sweeps, stop="norm")
 
     def solve(self, game: DelayedGame) -> DelayedNashResult:
-        system = game.system
-        m = system.n_users
-        fractions = StrategyProfile.proportional(system).fractions.copy()
-        last_costs = game.user_costs(StrategyProfile(fractions))
-
-        converged = False
-        sweeps = 0
-        for sweeps in range(1, self.max_sweeps + 1):
-            norm = 0.0
-            for j in range(m):
-                available = system.available_rates(fractions, j)
-                fractions[j] = delayed_best_response(
-                    available, game.delays[j], float(system.arrival_rates[j])
-                )
-                cost = game.user_costs(StrategyProfile(fractions))[j]
-                norm += abs(cost - last_costs[j])
-                last_costs[j] = cost
-            if norm <= self.tolerance:
-                converged = True
-                break
-
-        profile = StrategyProfile(fractions)
+        """Sweeps from the proportional profile until the norm of the
+        users' costs (delays included) reaches ``tolerance``."""
+        users = ClassAggregation.of_users(game.system)
+        run = self._sweeps().run_sweeps(
+            users, users.proportional_fractions(), offsets=game.delays
+        )
+        profile = StrategyProfile(run.flows / users.demands[:, None])
         return DelayedNashResult(
             profile=profile,
-            converged=converged,
-            iterations=sweeps,
+            converged=run.converged,
+            iterations=len(run.norms),
             user_costs=game.user_costs(profile),
         )

@@ -151,6 +151,7 @@ def sqrt_waterfill_inplace(
     thresholds = cum_a - demand
     thresholds /= np.add.accumulate(roots)
     valid = roots > thresholds
+    valid[0] = True  # fails only when demand is below a_1's round-off
     cut = a_sorted.size - int(valid[::-1].argmax())
 
     t = thresholds[cut - 1]
@@ -160,7 +161,14 @@ def sqrt_waterfill_inplace(
     # Guard against tiny negative round-off on the boundary computer,
     # then rescale so the flows meet the demand exactly.
     np.maximum(x, 0.0, out=x)
-    x *= demand / np.add.reduce(x)
+    total = np.add.reduce(x)
+    if total > 0.0:
+        x *= demand / total
+    else:  # demand below the rates' round-off: split over the fastest ties
+        cut = int(np.count_nonzero(a_sorted == a_sorted[0]))
+        a_support = a_sorted[:cut]
+        x = np.full(cut, demand / cut)
+        t = float((a_support[0] - x[0]) / roots[0])
     gap = a_support - x
     d = float(np.add.reduce(x / gap)) / demand  # reprolint: allow=R003 hot path; gap > 0 by the water-fill support
     support = order[:cut]

@@ -137,7 +137,7 @@ def run_online_service(
                 "rho_offered": round(_offered_utilization(report), 4),
                 "sweeps": report.sweeps,
                 "warm": report.warm_started,
-                "eps": float(report.epsilon),
+                "eps": round(float(report.epsilon), 12),
                 "pred_time": round(predicted, 5),
                 "sim_time": round(measured, 5),
                 "rel_err": round(abs(measured - predicted) / predicted, 4),

@@ -26,6 +26,13 @@ and ``sampled_best_reply_batch`` (with a full sample), which runs it on
 masked rates.  The equilibrium certificate, per user or per class, takes
 its best-reply times from that same batched kernel.
 
+A per-computer offset ``t_i`` (the communication delays of
+``core/comm_delay.py``) adds to each marginal cost: ``a_i / (a_i -
+x_i)^2 + t_i`` is one value ``nu`` across the support and ``1 / a_i +
+t_i >= nu`` off it.  The delayed best reply ``delayed_best_response``,
+the fused reply with an offset row and the symmetric class fill with an
+offset are checked against that form.
+
 The Newton polish (``newton_polish``) is checked the same way, one class
 row at a time against the availability the rest of the polished profile
 leaves it, and against whole reference solves; so is the default
@@ -43,6 +50,7 @@ from hypothesis import strategies as st
 
 from repro.core import classes
 from repro.core.best_response import optimal_fractions, optimal_fractions_batch
+from repro.core.comm_delay import delayed_best_response
 from repro.core.classes import (
     ClassAggregation,
     ClassNashSolver,
@@ -77,13 +85,15 @@ def assert_kkt(
     count: float = 1.0,
     *,
     computed_from: np.ndarray | None = None,
+    offset: np.ndarray | None = None,
 ) -> float:
     """Assert ``flows`` is the (member) best reply; return the tolerance.
 
     ``computed_from`` holds the magnitudes ``available`` was computed
     from when they exceed it (``mu`` for the ``mu - lam + row`` of a
     whole profile): their rounding, not ``available``'s, sets the
-    conditioning.
+    conditioning.  ``offset`` is a per-computer cost added to every
+    marginal cost (zero when ``None``).
     """
     m = np.asarray(available, dtype=float)
     y = np.asarray(flows, dtype=float)
@@ -101,13 +111,14 @@ def assert_kkt(
     scale = m if computed_from is None else np.maximum(m, computed_from)
     conditioning = float((scale[support] / gap).max())  # reprolint: allow=R003 a float conditioning ratio, not a response time
     rtol = _BASE_RTOL + _CONDITIONING_RTOL * conditioning
-    marginal = a[support] / gap**2
+    t = np.zeros_like(m) if offset is None else np.asarray(offset, dtype=float)
+    marginal = a[support] / gap**2 + t[support]
     nu = float(marginal.min())
     assert float(marginal.max()) <= nu * (1.0 + rtol), (
-        "marginal cost a_i/(a_i - x_i)^2 must be equal across the support"
+        "marginal cost a_i/(a_i - x_i)^2 + t_i must be equal across the support"
     )
     off = ~support & (a > 0.0)
-    assert np.all(1.0 / a[off] >= nu * (1.0 - rtol)), (
+    assert np.all(1.0 / a[off] + t[off] >= nu * (1.0 - rtol)), (
         "a computer off the support would have been better"
     )
     return rtol
@@ -180,10 +191,13 @@ def kernel_reply(available: np.ndarray, demand: float) -> tuple[np.ndarray, np.n
     flows = np.full(available.size, np.nan)  # every entry must be written
     d, t, support = sqrt_waterfill_inplace(available, demand, flows)
     assert np.all(flows[np.setdiff1d(np.arange(available.size), support)] == 0.0)
-    # x_i = a_i - t sqrt(a_i) before the conservation rescale.
+    # x_i = a_i - t sqrt(a_i) before the conservation rescale, up to the
+    # rounding of that difference (~eps a_i: it decides a demand below
+    # the rates' round-off).
+    a = available[support]
     np.testing.assert_allclose(
-        flows[support], available[support] - t * np.sqrt(available[support]),
-        rtol=1e-6, atol=1e-9 * demand,
+        flows[support], a - t * np.sqrt(a),
+        rtol=1e-6, atol=1e-9 * demand + 4.0 * np.finfo(float).eps * float(a.max()),
     )
     return available, flows, d
 
@@ -249,6 +263,10 @@ class TestScalarReplies:
     @example(case=(np.array([3.0, 3.0, 3.0]), 4.0))
     @example(case=(np.array([1.0, 1e6, 0.0]), 0.5 * (1.0 + 1e6)))
     @example(case=(np.array([4.0, 0.0, -2.0, 1.0]), 2.5))
+    # Demands below the rates' round-off: every cut flow rounds to <= 0.
+    @example(case=(np.array([2.0, 2.0, 2.0]), 1e-16))
+    @example(case=(np.array([4.0, 4.0]), 1e-300))
+    @example(case=(np.array([3.0, 2.0]), 1e-17))
     def test_satisfies_kkt(self, path, case):
         available, demand = case
         avail, flows, d = REPLY_PATHS[path](available, demand)
@@ -299,6 +317,9 @@ class TestBatchReplies:
     @settings(max_examples=300, deadline=None)
     @example(stack=(np.array([[7.0], [3.0]]), np.array([7.0 * (1.0 - 1e-9), 1.5])))
     @example(stack=(np.array([[1.0, 1e6, 0.0], [4.0, -2.0, 1.0]]), np.array([0.5e6, 2.5])))
+    @example(stack=(np.array([[2.0, 2.0, 2.0], [1.0, 3.0, 2.0]]), np.array([1e-16, 2.0])))
+    @example(stack=(np.array([[4.0, 4.0]]), np.array([1e-300])))
+    @example(stack=(np.array([[3.0, 2.0], [3.0, 2.0]]), np.array([1e-17, 4.0])))
     def test_every_row_satisfies_kkt(self, path, stack):
         available, demands = stack
         flows, times = BATCH_PATHS[path](available, demands)
@@ -314,11 +335,85 @@ class TestSymmetricFill:
     @example((np.array([7.0]), 7.0 * (1.0 - 1e-9)), 1000)
     @example((np.array([3.0, 3.0, 3.0]), 4.0), 10)
     @example((np.array([1.0, 1e6, 0.0]), 0.5 * (1.0 + 1e6)), 2)
+    @example((np.array([2.0, 2.0, 2.0]), 1e-16), 1000)
+    @example((np.array([4.0, 4.0]), 1e-300), 2)
+    @example((np.array([3.0, 2.0]), 1e-17), 1)
     def test_satisfies_kkt(self, case, count):
         available, demand = case
         y, d = _symmetric_class_fill(available, demand, count)
         rtol = assert_kkt(available, y, demand, count)
         assert abs(d - member_time(available, y, demand)) <= rtol * d
+
+
+@st.composite
+def delayed_cases(draw: st.DrawFn) -> tuple[np.ndarray, float, np.ndarray]:
+    """A :func:`reply_cases` draw plus nonnegative per-computer delays.
+
+    The delays are ``scale / (median positive rate)`` times draws from
+    [0, 1], for scales from zero up to 10^3 times the median service
+    time.
+    """
+    rates, demand = draw(reply_cases())
+    scale = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+    spread = draw(st.lists(st.floats(0.0, 1.0), min_size=rates.size, max_size=rates.size))
+    delays = scale / float(np.median(rates[rates > 0.0])) * np.array(spread)
+    return rates, demand, delays
+
+
+def delayed_reply(available, demand, delays):
+    flows = delayed_best_response(available, delays, demand) * demand
+    return available, flows, None
+
+
+def fused_offset_reply(available, demand, delays):
+    """The singleton fused reply with an offset row (see :func:`fused_reply`)."""
+    n = available.size
+    foreign = np.linspace(0.5, 2.0, n) * max(float(np.abs(available).max()), 1.0)
+    mu = available + foreign
+    lam = foreign.copy()
+    own = np.zeros(n)
+    avail = np.empty(n)
+    d = _fused_class_reply_inplace(mu, 1.0, demand, own, lam, avail, delays)
+    np.testing.assert_allclose(lam, foreign + own, rtol=1e-12)
+    return avail, own, d
+
+
+OffsetPath = Callable[
+    [np.ndarray, float, np.ndarray], tuple[np.ndarray, np.ndarray, float | None]
+]
+OFFSET_PATHS: dict[str, tuple[OffsetPath, float]] = {
+    "delayed_best_response": (delayed_reply, 1.0),
+    "fused_offset": (fused_offset_reply, 1.0),
+    **{
+        f"fill_count_{count}": (
+            lambda a, d, t, count=count: (
+                a, *_symmetric_class_fill(a, d, count, t)
+            ),
+            float(count),
+        )
+        for count in (1, 2, 1000)
+    },
+}
+
+
+class TestOffsetReplies:
+    @pytest.mark.parametrize("path", sorted(OFFSET_PATHS))
+    @given(case=delayed_cases())
+    @settings(max_examples=200, deadline=None)
+    @example(case=(np.array([7.0]), 7.0 * (1.0 - 1e-9), np.array([3.0])))
+    @example(case=(np.array([1.0, 1e6, 0.0]), 0.5 * (1.0 + 1e6), np.array([0.0, 1e-3, 5.0])))
+    @example(case=(np.array([10.0, 10.0]), 4.0, np.array([1e6, 0.0])))
+    @example(case=(np.array([2.0, 2.0, 2.0]), 1e-16, np.array([0.5, 0.5, 0.5])))
+    @example(case=(np.array([4.0, 0.0, -2.0, 1.0]), 2.5, np.array([1.0, 0.0, 0.0, 1.0])))
+    def test_satisfies_kkt(self, path, case):
+        available, demand, delays = case
+        reply, count = OFFSET_PATHS[path]
+        avail, flows, d = reply(available, demand, delays)
+        rtol = assert_kkt(avail, flows, demand, count, offset=delays)
+        assert np.all(flows[avail <= 0.0] == 0.0)
+        if d is not None:
+            cost = member_time(avail, flows, demand) + float(flows @ delays) / demand
+            assert abs(d - cost) <= rtol * d
 
 
 def class_system(

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.comm_delay import DelayedGame, DelayedNashSolver
 from repro.experiments import ext_models
+from repro.workloads.configs import paper_table1_system
 
 
 class TestCommDelay:
@@ -27,6 +29,39 @@ class TestCommDelay:
     def test_traffic_retreats_from_fast_computers(self, artifact):
         shares = artifact.column("fast_computer_share")
         assert shares[-1] < shares[0]
+
+
+class TestCommDelayPinned:
+    """The default EXT4 table and its solves, pinned to six digits.
+
+    The delayed game's replies and sweeps run on the class engine's fill
+    and sweep loop; these are the numbers and sweep counts of the
+    equilibria EXT4 reports.
+    """
+
+    SCALES = (0.0, 0.01, 0.05, 0.1, 0.2)
+
+    def test_default_table(self):
+        artifact = ext_models.run_comm_delay()
+        assert artifact.column("delay_scale") == list(self.SCALES)
+        expected = {
+            "nash_cost": ["0.0626943", "0.116072", "0.368655", "0.635599", "1.08875"],
+            "ps_cost": ["0.0784314", "0.127451", "0.323529", "0.568627", "1.05882"],
+            "fast_computer_share": ["1", "0.96197", "0.857464", "0.836296", "0.824157"],
+        }
+        for column, values in expected.items():
+            assert [f"{v:.6g}" for v in artifact.column(column)] == values, column
+
+    def test_sweep_counts(self):
+        system = paper_table1_system(utilization=0.6, n_users=10)
+        distance = system.service_rates / system.service_rates.min() - 1.0
+        solver = DelayedNashSolver(tolerance=1e-8)
+        sweeps = []
+        for scale in self.SCALES:
+            result = solver.solve(DelayedGame(system, scale * distance))
+            assert result.converged
+            sweeps.append(result.iterations)
+        assert sweeps == [104, 80, 160, 238, 356]
 
 
 class TestMisspecification:
