@@ -21,6 +21,12 @@ import numpy as np
 import pytest
 
 from repro.core.best_response import optimal_fractions, optimal_fractions_batch
+from repro.core.classes import (
+    ClassAggregation,
+    ClassNashSolver,
+    class_best_response_regrets,
+    newton_polish,
+)
 from repro.core.model import DistributedSystem
 from repro.core.nash import NashSolver
 from repro.core.reference import reference_solve
@@ -86,6 +92,26 @@ def test_bench_lindley_fastpath(benchmark):
     services = rng.exponential(0.6, size=n)
     waits = benchmark(lambda: mm1_lindley_waits(gaps, services))
     assert waits.size == n
+
+
+@nash_core
+def test_bench_newton_polish_wide(benchmark):
+    """One Newton polish of a one-sweep iterate at the widest cold-solve
+    shape: 44 users (singleton classes) on 250 computers at 85% load,
+    whose steps take the c x c Woodbury form."""
+    rng = np.random.default_rng(5)
+    mu = 10.0 ** rng.uniform(1.0, 2.0, size=250)
+    phi = rng.uniform(0.5, 2.0, size=44)
+    phi *= 0.85 * mu.sum() / phi.sum()
+    users = ClassAggregation.of_users(
+        DistributedSystem(service_rates=mu, arrival_rates=phi)
+    )
+    run = ClassNashSolver(max_sweeps=1, record_history=True, stop="norm").solve(users)
+    flows = run.history[-1] * users.demands[:, None]
+    polished = benchmark(lambda: newton_polish(users, flows))
+    assert polished is not None
+    certificate = class_best_response_regrets(users, polished / users.demands[:, None])
+    assert certificate.epsilon <= 1e-6
 
 
 # ----------------------------------------------------------------------

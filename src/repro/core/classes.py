@@ -1216,6 +1216,48 @@ _POLISH_STEP_RTOL = 1e-10
 _SUPPORT_RTOL = 1e-9
 #: Fraction-to-boundary damping that keeps every headroom positive.
 _HEADROOM_STEP = 0.99
+#: A Newton step takes the ``c x c`` Woodbury form once the classes are
+#: this many fewer than the computers: the measured crossover.  At n <=
+#: 16 (every churn polish) its extra array calls cost more than the
+#: smaller solve saves; at c = n - 16 it is 3-10% faster for n = 24 to
+#: 128 (docs/PERFORMANCE.md, "Reduced Newton step").
+_REDUCED_STEP_MARGIN = 16
+
+
+def _load_step(
+    weights: FloatArray,
+    norm: FloatArray,
+    slope: FloatArray,
+    counts: FloatArray,
+    rhs: FloatArray,
+) -> FloatArray:
+    """The load changes ``s`` of one Newton step of :func:`newton_polish`.
+
+    ``s`` solves ``(D - U^T slope) s = rhs`` with ``D = diag(1 + counts @
+    slope)`` and ``U = weights * counts / norm`` (rows are classes).  When
+    the ``c`` classes are at least :data:`_REDUCED_STEP_MARGIN` fewer
+    than the ``n`` computers and ``D`` is positive (it is ``>= 1`` near
+    the equilibrium, where ``nu_k h_i >= 1`` on the support) the
+    Woodbury identity reduces the step to one ``c x c`` solve, ``s =
+    D^-1 rhs + D^-1 U^T (I - slope D^-1 U^T)^-1 slope D^-1 rhs``, in
+    ``O(c^2 n + c^3)``; otherwise the dense ``n x n`` system is solved,
+    in ``O(c n^2 + n^3)``.  Raises ``LinAlgError`` when the step is
+    singular.
+    """
+    lift = weights * (counts / norm)[:, None]
+    diagonal = 1.0 + counts @ slope
+    if counts.size + _REDUCED_STEP_MARGIN <= rhs.size and (diagonal > 0.0).all():
+        inverse = 1.0 / diagonal
+        lift *= inverse
+        direct = rhs * inverse
+        capacitance = np.identity(counts.size) - slope @ lift.T
+        correction = np.linalg.solve(capacitance, slope @ direct)
+        reduced: FloatArray = direct + correction @ lift
+        return reduced
+    matrix = -lift.T @ slope
+    matrix[np.diag_indices(rhs.size)] += diagonal
+    dense: FloatArray = np.linalg.solve(matrix, rhs)
+    return dense
 
 
 @dataclass
@@ -1246,9 +1288,13 @@ def newton_polish(
     ``s_i = sum_k count_k dx_ki``: with ``a_ki = 2 nu_k h_i - 1``,
     ``dx_ki = -F_ki - a_ki s_i + h_i^2 dnu_k`` and ``dnu_k = (-G_k +
     sum_i F_ki + sum_i a_ki s_i) / sum_i h_i^2`` (sums over ``S_k``), so
-    ``s`` solves one dense ``n x n`` system — diagonal ``1 + sum_k
-    count_k a_ki`` minus a rank-``c`` term — at ``O(c n^2 + n^3)`` per
-    step.  The support moves by an active-set rule: the flows a full
+    ``s`` solves one ``n x n`` system: a diagonal ``D = 1 + sum_k count_k
+    a_ki`` minus a rank-``c`` term.  By the Woodbury identity that is one
+    ``c x c`` solve at ``O(c^2 n + c^3)`` per step, taken when the
+    classes are at least 16 fewer than the computers and ``D`` is
+    positive (always, near the equilibrium); otherwise the dense ``n x
+    n`` solve runs, at ``O(c n^2 + n^3)``.  Both give the same step up to
+    round-off.  The support moves by an active-set rule: the flows a full
     step would push below zero leave it (and the step is recomputed),
     a step that would empty some computer's headroom is cut short, and
     once the steps on a support converge computer ``i`` joins class
@@ -1275,7 +1321,6 @@ def newton_polish(
     h2 = h * h
     # The least-squares multiplier of each class's current support.
     nu = ((h + x) * h2 * support).sum(axis=1) / (h2 * h2 * support).sum(axis=1)
-    diagonal = np.diag_indices(mu.size)
     converged = False
     for step in range(_POLISH_MAX_STEPS):
         if converged or step == 0:
@@ -1291,10 +1336,10 @@ def newton_polish(
         resid = (h + x - nu[:, None] * h2) * support
         slope = (2.0 * nu[:, None] * h - 1.0) * support
         g = (resid.sum(axis=1) - (x.sum(axis=1) - rates)) / norm
-        matrix = -(weights * (counts / norm)[:, None]).T @ slope
-        matrix[diagonal] += 1.0 + counts @ slope
         try:
-            s = np.linalg.solve(matrix, counts @ (weights * g[:, None] - resid))
+            s = _load_step(
+                weights, norm, slope, counts, counts @ (weights * g[:, None] - resid)
+            )
         except np.linalg.LinAlgError:
             return None
         stats.steps += 1

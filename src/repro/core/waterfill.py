@@ -233,14 +233,16 @@ def response_time_waterfill(capacities, demand: float) -> WaterfillResult:
     counts = np.arange(1, a_sorted.size + 1, dtype=float)
     residual = (np.cumsum(a_sorted) - demand) / counts
     valid = a_sorted > residual
-    if not valid[0]:
-        raise AssertionError("response-time water-fill: no valid support prefix")
-    cut = int(np.flatnonzero(valid).max()) + 1
-
-    g = float(residual[cut - 1])
-    support = order[:cut]
-    loads[support] = a[support] - g
-    np.maximum(loads, 0.0, out=loads)
-    scale = demand / loads.sum()
-    loads *= scale
+    if valid.any():
+        cut = int(np.flatnonzero(valid).max()) + 1
+        g = float(residual[cut - 1])
+        support = order[:cut]
+        loads[support] = a[support] - g
+        np.maximum(loads, 0.0, out=loads)
+        loads *= demand / loads.sum()
+    else:  # demand below the rates' round-off: split over the fastest ties
+        cut = int(np.count_nonzero(a_sorted == a_sorted[0]))
+        support = order[:cut]
+        loads[support] = demand / cut
+        g = float(a_sorted[0] - demand / cut)
     return WaterfillResult(loads=loads, threshold=1.0 / g, support=np.sort(support))

@@ -546,6 +546,130 @@ class TestNewtonPolish:
         np.testing.assert_array_equal(failed.norm_history, unpolished.norm_history)
 
 
+def random_polish_system(
+    n: int, c: int, spread: float, tied: bool, utilization: float, seed: int
+) -> ClassAggregation:
+    """The class systems ``test_random_systems`` draws, at any shape."""
+    rng = np.random.default_rng(seed)
+    mu = spread ** rng.uniform(0.0, 1.0, n) * rng.uniform(1.0, 2.0, n)
+    rates = rng.uniform(0.5, 2.0, c)
+    if tied:
+        mu = rng.choice(mu[: max(1, n // 3)], n)
+        rates = rng.choice(rates[: max(1, c // 3)], c)
+    return class_system(mu, rates, rng.choice([1, 1, 2, 10, 1000], c), utilization)
+
+
+class TestNewtonPolishAtSolveShapes:
+    """The polish at the shapes of cold solves (c up to n / 2, n up to
+    256), where its steps take the ``c x c`` Woodbury form.
+
+    From a one-sweep iterate the polish gives up (``None``) on some of
+    these systems, dense and reduced steps alike: near u = 0.99 its
+    support changes and damped steps outlast the step budget.  A
+    returned profile must pass the oracle; the give-up is pinned below.
+    """
+
+    @given(
+        st.integers(16, 256).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, n // 2))
+        ),
+        st.sampled_from([1.0, 10.0, 1e3, 1e6]),
+        st.booleans(),
+        st.sampled_from([0.3, 0.7, 0.9, 0.99, 1.0 - 1e-9]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_wide_systems(self, shape, spread, tied, utilization, seed):
+        n, c = shape
+        aggregation = random_polish_system(n, c, spread, tied, utilization, seed)
+        polished = newton_polish(aggregation, sweep_iterate(aggregation))
+        if polished is not None:
+            assert_polished_kkt(aggregation, polished)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="support changes and damped steps outlast the 30-step budget",
+    )
+    def test_polishes_a_wide_system_near_saturation(self):
+        aggregation = random_polish_system(99, 6, 1e3, False, 0.99, 0)
+        stats = classes.PolishStats()
+        polished = newton_polish(aggregation, sweep_iterate(aggregation), stats)
+        assert polished is not None, stats
+        assert_polished_kkt(aggregation, polished)
+
+
+def load_step_case(
+    n: int, c: int, seed: int, *, nonpositive_diagonal: bool = False
+) -> tuple[np.ndarray, ...]:
+    """Random ``(weights, norm, slope, counts, rhs)`` of one polish step,
+    with ``nu_k h_i`` in [1, 4] on the support (as near the equilibrium)."""
+    rng = np.random.default_rng(seed)
+    support = rng.random((c, n)) < rng.uniform(0.2, 1.0)
+    support[np.arange(c), rng.integers(0, n, c)] = True
+    h = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.uniform(0, rng.choice([0, 1, 3, 6]), n)
+    weights = h * h * support
+    slope = (2.0 * rng.uniform(1.0, 4.0, (c, n)) - 1.0) * support
+    counts = rng.choice([1.0, 2.0, 10.0, 1000.0], c)
+    if nonpositive_diagonal:
+        # nu_k h_i = 0 puts 1 - counts_k <= 0 on computer 0's diagonal.
+        support[0, 0] = True
+        weights[0, 0] = h[0] ** 2
+        slope[:, 0] = -1.0 * support[:, 0]
+    return weights, weights.sum(axis=1), slope, counts, rng.normal(size=n) * h
+
+
+class TestLoadStep:
+    """One polish step's load system, ``(D - U^T slope) s = rhs``, solved
+    by ``_load_step`` against ``np.linalg.solve`` of the assembled dense
+    matrix."""
+
+    @staticmethod
+    def solve_and_spy(case):
+        """Check the step against the dense solve; return the shapes of
+        the systems ``_load_step`` solved."""
+        shapes = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            shapes.append(a.shape)
+            return solve(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "solve", spy)
+            step = classes._load_step(*case)
+        weights, norm, slope, counts, rhs = case
+        matrix = -(weights * (counts / norm)[:, None]).T @ slope
+        matrix[np.diag_indices(rhs.size)] += 1.0 + counts @ slope
+        dense = np.linalg.solve(matrix, rhs)
+        assert np.abs(step - dense).max() <= 1e-10 * np.abs(dense).max()
+        return shapes
+
+    @given(
+        st.integers(2, 96).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sampled_from(
+                    [1, n // 4 + 1, n // 2 + 1, max(1, n - 16), n - 1, n, n + 5]
+                ),
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_dense_solve(self, shape, seed):
+        n, c = shape
+        shapes = self.solve_and_spy(load_step_case(n, c, seed))
+        reduced = c + classes._REDUCED_STEP_MARGIN <= n
+        assert shapes == [(c, c) if reduced else (n, n)]
+
+    @pytest.mark.parametrize(("n", "c"), [(64, 1), (64, 48), (250, 44), (32, 16)])
+    def test_nonpositive_diagonal_takes_the_dense_solve(self, n, c):
+        case = load_step_case(n, c, seed=n + c, nonpositive_diagonal=True)
+        _, _, slope, counts, _ = case
+        assert (1.0 + counts @ slope).min() <= 0.0
+        assert self.solve_and_spy(case) == [(n, n)]
+
+
 class TestPolishMatchesReferenceSolves:
     """Polished profiles equal whole reference solves (``core/reference.py``)."""
 

@@ -206,6 +206,23 @@ class TestResponseTimeWaterfill:
         with pytest.raises(ValueError):
             response_time_waterfill([2.0], 2.0)
 
+    @pytest.mark.parametrize(
+        ("capacities", "demand", "fastest"),
+        [([2.0, 2.0, 2.0], 1e-16, [0, 1, 2]), ([4.0, 4.0], 1e-300, [0, 1]),
+         ([3.0, 2.0], 1e-17, [0])],
+    )
+    def test_demand_below_round_off_splits_over_the_fastest_ties(
+        self, capacities, demand, fastest
+    ):
+        # No support prefix passes a_c > (sum a - demand) / c here: the
+        # demand vanishes in the rates' round-off.
+        result = response_time_waterfill(capacities, demand)
+        expected = np.zeros(len(capacities))
+        expected[fastest] = demand / len(fastest)
+        np.testing.assert_array_equal(result.loads, expected)
+        np.testing.assert_array_equal(result.support, fastest)
+        assert result.threshold == pytest.approx(1.0 / capacities[0], rel=1e-12)
+
     @given(capacities_and_demand())
     @settings(max_examples=120, deadline=None)
     def test_wardrop_conditions_generic(self, case):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.model import DistributedSystem
 from repro.schemes.individual_optimal import (
     IndividualOptimalScheme,
     flow_deviation_loads,
@@ -111,3 +112,18 @@ class TestScheme:
 
     def test_scheme_name(self, table1_medium):
         assert IndividualOptimalScheme().allocate(table1_medium).scheme == "IOS"
+
+    @pytest.mark.parametrize(
+        ("rates", "demand", "fastest"),
+        [([2.0, 2.0, 2.0], 1e-16, [0, 1, 2]), ([4.0, 4.0], 1e-300, [0, 1]),
+         ([3.0, 2.0], 1e-17, [0])],
+    )
+    def test_demand_below_round_off(self, rates, demand, fastest):
+        system = DistributedSystem(service_rates=rates, arrival_rates=[demand])
+        result = IndividualOptimalScheme().allocate(system)
+        result.profile.validate(system)
+        expected = np.zeros(len(rates))
+        expected[fastest] = 1.0 / len(fastest)
+        np.testing.assert_allclose(result.profile.fractions[0], expected)
+        assert result.extra["tau"] == pytest.approx(1.0 / rates[0], rel=1e-12)
+        assert result.user_times[0] == pytest.approx(1.0 / rates[0], rel=1e-12)
