@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Iterable, Literal
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -74,11 +74,9 @@ from repro.core.model import DistributedSystem
 from repro.core.sampled import (
     SampleCertificate,
     check_seed,
-    reply_set,
-    sample_indices,
     sampled_best_reply,
     sampled_best_reply_batch,
-    widen_reply_set,
+    sampled_reply_set,
 )
 from repro.core.strategy import StrategyProfile
 from repro.core.waterfill import InfeasibleDemand, sqrt_waterfill_inplace
@@ -624,18 +622,15 @@ def _sampled_class_reply(
         if observe:
             regret = _observed_regret(avail, own, demand, count, reply.reply_set)
         return reply.flows, reply.expected_response_time, reply.polls, regret
-    n = avail.shape[0]
-    indices = sample_indices(seed, sweep, index, n, k)
-    chosen = reply_set(own, indices)
-    chosen, extra = widen_reply_set(
-        chosen, avail, demand, seed=seed, sweep=sweep, index=index
+    chosen, polls = sampled_reply_set(
+        avail, own, demand, seed=seed, sweep=sweep, index=index, k=k
     )
     if observe:
         regret = _observed_regret(avail, own, demand, count, chosen)
-    flows = np.zeros(n)
+    flows = np.zeros(avail.shape[0])
     y, d = _symmetric_class_fill(avail[chosen], demand, count)
     flows[chosen] = y
-    return flows, d, int(indices.size) + extra, regret
+    return flows, d, polls, regret
 
 
 def _observed_regret(
@@ -668,88 +663,32 @@ def _observed_regret(
     return current - best
 
 
-#: Per-sweep telemetry hook of the sweep engine, called (only when
-#: tracing) as ``hook(index, norm, elapsed_s, deltas)`` where ``deltas``
-#: holds each class's ``|D_k^{(l)} - D_k^{(l-1)}|`` — the per-user
-#: regrets of a singleton solve.
-SweepHook = Callable[[int, float, float, FloatArray], None]
-
-
 @dataclass(frozen=True)
 class SweepRun:
-    """Raw outcome of the sweep engine, before a front end wraps it.
+    """Outcome of the sweep engine, which a front end wraps.
 
-    ``flows`` are the final ``(c, n)`` class-total flows, ``norms`` the
+    ``flows`` are the final ``(c, n)`` class-total flows and
+    ``fractions`` the same profile as class fractions, ``norms`` the
     user-weighted sweep norms, ``history`` the class fractions after
-    each sweep (when recorded) and ``polls`` the availability probes of
-    a ``sample_k`` solve (the full-information baseline when
-    ``k >= n``).  ``polished`` marks a run whose final ``flows`` are a
-    certified :func:`newton_polish` of the last sweep iterate, and
-    ``certificate`` is the certificate of the final ``flows`` of a
-    converged exact certificate-stop run (``None`` otherwise).
-    ``sampled_epsilon`` is the largest :func:`_observed_regret` at the
-    last check of a sampled certificate-stop run with a multi-member
-    class (``None`` when none ran).
+    each sweep (when recorded) and ``times`` each class member's
+    expected response time under ``fractions`` (costs, offsets included,
+    when the run had ``offsets``; ``inf`` and ``converged=False`` when
+    the profile overloads a computer).  ``stopped_by`` says why the
+    sweeps stopped (the ``solver.done`` field).  ``certificate`` is the
+    certificate of the final profile of a converged exact
+    certificate-stop run (``None`` otherwise).  ``sample`` is the
+    :class:`SampleCertificate` of a ``sample_k`` solve.
     """
 
     flows: FloatArray
+    fractions: FloatArray
     norms: list[float]
     converged: bool
     history: list[FloatArray]
-    polls: int
-    polished: bool = False
+    times: FloatArray
+    stopped_by: str
     certificate: EquilibriumCertificate | None = None
-    sampled_epsilon: float | None = None
-
-    @property
-    def final_norm(self) -> float:
-        return self.norms[-1] if self.norms else 0.0
-
-    def stopped_by(self, tolerance: float) -> str:
-        """Why the sweeps stopped: ``norm``, ``certificate``, ``newton``
-        or ``budget`` (the ``stopped_by`` field of the done events)."""
-        # The certificate is checked only where the norm rule failed.
-        if not self.converged:
-            return "budget"
-        if self.final_norm <= tolerance:
-            return "norm"
-        return "newton" if self.polished else "certificate"
-
-
-def certify_sample(
-    run: SweepRun, k: int, aggregation: ClassAggregation, tracer: Tracer
-) -> SampleCertificate:
-    """The :class:`SampleCertificate` of a ``sample_k`` solve.
-
-    Its ``epsilon`` is the true global certificate of the run's final
-    profile (``inf`` when that overloads a computer); emits the
-    ``solver.sample`` event when tracing.
-    """
-    n = aggregation.n_computers
-    certificate = certificate_or_none(
-        aggregation, run.flows / aggregation.demands[:, None]
-    )
-    sample = SampleCertificate(
-        k=min(k, n),
-        n_computers=n,
-        sweeps=len(run.norms),
-        polls=run.polls,
-        sampled_norm=run.final_norm,
-        epsilon=float("inf") if certificate is None else certificate.epsilon,
-        sampled_epsilon=run.sampled_epsilon,
-    )
-    if tracer.enabled:
-        tracer.emit(
-            "solver.sample",
-            k=sample.k,
-            computers=n,
-            sweeps=sample.sweeps,
-            polls=sample.polls,
-            sampled_norm=sample.sampled_norm,
-            epsilon=sample.epsilon,
-            sampled_epsilon=sample.sampled_epsilon,
-        )
-    return sample
+    sample: SampleCertificate | None = None
 
 
 @dataclass(frozen=True)
@@ -803,7 +742,8 @@ class ClassNashSolver:
     multi-member class, whose players lack the information for the
     certificate, stops on the regret its classes observe over their
     reply sets instead (at the same checks, once two in a row are within
-    ``tolerance``; reported as ``SampleCertificate.sampled_epsilon``).  A
+    ``tolerance``; reported as ``SampleCertificate.sampled_epsilon`` and
+    ``stopped_by="observed"``).  A
     ``k >= n`` one checks the certificate on its sweep iterates, and a
     per-user sampled solve (all singletons) keeps the norm rule.
 
@@ -871,83 +811,27 @@ class ClassNashSolver:
     ) -> ClassNashResult:
         """Run class-space best-reply sweeps from the given initialization.
 
-        Emits ``solver.class_start`` / ``solver.class_sweep`` /
-        ``solver.class_done`` events on the (ambient or explicit) tracer;
-        the per-sweep ``norm`` fields reconstruct the run's
-        ``norm_history`` exactly, like the per-user solver's.
+        The sweeps, their trace events and the result's times and sample
+        certificate come from :meth:`run_sweeps`.
         """
-        fractions = self._initial_fractions(aggregation, init)
-        c, n = aggregation.n_classes, aggregation.n_computers
-        tracer = tracer if tracer is not None else current_tracer()
-        trace = tracer.enabled
-        on_sweep: SweepHook | None = None
-        if trace:
-            tracer.emit(
-                "solver.class_start",
-                order=self.order,
-                classes=c,
-                users=aggregation.n_users,
-                computers=n,
-                compression=aggregation.compression,
-                grouping_tol=aggregation.grouping_tol,
-                tolerance=self.tolerance,
-                max_sweeps=self.max_sweeps,
-            )
-
-            def emit_sweep(
-                index: int, norm: float, elapsed: float, deltas: FloatArray
-            ) -> None:
-                tracer.emit(
-                    "solver.class_sweep",
-                    index=index,
-                    sweep=index + 1,
-                    norm=norm,
-                    elapsed_s=elapsed,
-                    classes=c,
-                )
-                tracer.count("solver.class_sweeps")
-                tracer.count("solver.class_replies", c)
-                tracer.observe("solver.class_sweep_seconds", elapsed)
-
-            on_sweep = emit_sweep
-
-        run = self.run_sweeps(aggregation, fractions, on_sweep, tracer=tracer)
-        converged = run.converged
-        final = run.flows / aggregation.demands[:, None]
-        try:
-            class_times = aggregation.class_times(final)
-        except ValueError:
-            # Only reachable with the simultaneous (Jacobi) order, which
-            # can overshoot into an unstable joint profile mid-oscillation.
-            class_times = np.full(c, np.inf)
-            converged = False
-        sample: SampleCertificate | None = None
-        if self.sample_k is not None:
-            sample = certify_sample(run, self.sample_k, aggregation, tracer)
-        if trace:
-            tracer.emit(
-                "solver.class_done",
-                converged=converged,
-                iterations=len(run.norms),
-                final_norm=run.final_norm,
-                stopped_by=run.stopped_by(self.tolerance),
-            )
+        run = self.run_sweeps(
+            aggregation, self._initial_fractions(aggregation, init), tracer=tracer
+        )
         return ClassNashResult(
-            class_fractions=final,
-            converged=converged,
+            class_fractions=run.fractions,
+            converged=run.converged,
             iterations=len(run.norms),
             norm_history=np.asarray(run.norms, dtype=float),
-            class_times=class_times,
+            class_times=run.times,
             aggregation=aggregation,
             history=tuple(run.history),
-            sample=sample,
+            sample=run.sample,
         )
 
     def run_sweeps(
         self,
         aggregation: ClassAggregation,
         fractions: FloatArray,
-        on_sweep: SweepHook | None = None,
         *,
         tracer: Tracer | None = None,
         offsets: FloatArray | None = None,
@@ -964,8 +848,15 @@ class ClassNashSolver:
         profile at once (Jacobi: ``"simultaneous"``, one batched kernel
         call for an all-singleton aggregation).  ``fractions`` is read,
         never written.  A certificate check that fails on the sweep
-        iterate retries on its :func:`newton_polish`; ``tracer`` receives
-        the ``solver.polish`` events.
+        iterate retries on its :func:`newton_polish`.
+
+        It is also the one place a solve is traced and finished: on
+        ``tracer`` (default: the ambient tracer) it emits
+        ``solver.start``, one ``solver.sweep`` per sweep (its
+        ``regrets`` hold each class's ``|D_k^{(l)} - D_k^{(l-1)}|``),
+        ``solver.polish`` per polish, ``solver.sample`` and
+        ``solver.done``, and it computes the final times and the
+        ``sample_k`` :class:`SampleCertificate` (docs/OBSERVABILITY.md).
 
         ``offsets`` (``(c, n)``, the communication delays) adds a cost
         per job to every reply (:func:`_symmetric_class_fill` with the
@@ -1025,6 +916,20 @@ class ClassNashSolver:
         polish = certify and self.sample_k is None
         seed = self.seed
         polls = 0
+        tracer = tracer if tracer is not None else current_tracer()
+        trace = tracer.enabled
+        if trace:
+            tracer.emit(
+                "solver.start",
+                order=self.order,
+                users=aggregation.n_users,
+                computers=n,
+                tolerance=self.tolerance,
+                max_sweeps=self.max_sweeps,
+                classes=c,
+                compression=aggregation.compression,
+                grouping_tol=aggregation.grouping_tol,
+            )
 
         # D_k^{(0)}: zero for classes with no allocation yet (NASH_0), the
         # actual member times otherwise.  An initial profile that
@@ -1049,11 +954,11 @@ class ClassNashSolver:
         norms: list[float] = []
         history: list[FloatArray] = []
         converged = False
-        polished = False
+        stopped_by = "budget"
         accepted: EquilibriumCertificate | None = None
         for sweep in range(self.max_sweeps):
             lam = flows.sum(axis=0)
-            started = perf_counter() if on_sweep is not None else 0.0
+            started = perf_counter() if trace else 0.0
             check = sweep & (sweep + 1) == 0  # after sweeps 1, 2, 4, 8, ...
             observing = observe and check
             worst = -np.inf
@@ -1124,8 +1029,19 @@ class ClassNashSolver:
                     deltas[k] = delta
                     last_times[k] = d
             norms.append(norm)
-            if on_sweep is not None:
-                on_sweep(len(norms) - 1, norm, perf_counter() - started, deltas)
+            if trace:
+                elapsed = perf_counter() - started
+                tracer.emit(
+                    "solver.sweep",
+                    index=sweep,
+                    sweep=sweep + 1,
+                    norm=norm,
+                    elapsed_s=elapsed,
+                    regrets=deltas,
+                )
+                tracer.count("solver.sweeps")
+                tracer.count("solver.best_replies", c)
+                tracer.observe("solver.sweep_seconds", elapsed)
             if self.record_history:
                 history.append(flows / demands[:, None])
             if observing:
@@ -1134,21 +1050,21 @@ class ClassNashSolver:
                     observed_passes + 1 if worst <= self.tolerance else 0
                 )
             if norm <= self.tolerance:
-                converged = True
+                converged, stopped_by = True, "norm"
                 if certify:
                     accepted = certificate_or_none(
                         aggregation, flows / demands[:, None]
                     )
                 break
             if observed_passes == 2:
-                converged = True
+                converged, stopped_by = True, "observed"
                 break
             if certify and check:
                 certificate = certificate_or_none(
                     aggregation, flows / demands[:, None]
                 )
                 if certificate is not None and certificate.epsilon <= self.tolerance:
-                    converged, accepted = True, certificate
+                    converged, accepted, stopped_by = True, certificate, "certificate"
                     break
                 candidate = (
                     self._certified_polish(aggregation, flows, tracer)
@@ -1157,29 +1073,77 @@ class ClassNashSolver:
                 )
                 if candidate is not None:
                     flows, accepted = candidate
-                    converged = polished = True
+                    converged, stopped_by = True, "newton"
                     break
 
-        if self.sample_k is not None and not sampling:
-            # Full-information bypass: every reply observed all n
-            # computers — the poll baseline EXT11 measures against.
-            polls = len(norms) * c * n
+        final = flows / demands[:, None]
+        if accepted is not None:
+            member_times = accepted.user_times
+        else:
+            try:
+                member_times = aggregation.class_times(final)
+            except ValueError:
+                # Only reachable with the simultaneous (Jacobi) order,
+                # which can overshoot into an unstable joint profile
+                # mid-oscillation.
+                member_times = np.full(c, np.inf)
+                converged = False
+            else:
+                if offsets is not None:
+                    member_times += (final * offsets).sum(axis=1)
+        sample: SampleCertificate | None = None
+        if self.sample_k is not None:
+            if not sampling:
+                # Full-information bypass: every reply observed all n
+                # computers — the poll baseline EXT11 measures against.
+                polls = len(norms) * c * n
+            # The true global epsilon of the final profile.
+            true = certificate_or_none(aggregation, final)
+            sample = SampleCertificate(
+                k=min(sample_k, n),
+                n_computers=n,
+                sweeps=len(norms),
+                polls=polls,
+                sampled_norm=norms[-1],
+                epsilon=float("inf") if true is None else true.epsilon,
+                sampled_epsilon=sampled_epsilon,
+            )
+            if trace:
+                tracer.emit(
+                    "solver.sample",
+                    k=sample.k,
+                    computers=n,
+                    sweeps=sample.sweeps,
+                    polls=sample.polls,
+                    sampled_norm=sample.sampled_norm,
+                    epsilon=sample.epsilon,
+                    sampled_epsilon=sample.sampled_epsilon,
+                )
+        if trace:
+            tracer.emit(
+                "solver.done",
+                converged=converged,
+                iterations=len(norms),
+                final_norm=norms[-1],
+                stopped_by=stopped_by,
+            )
         return SweepRun(
             flows=flows,
+            fractions=final,
             norms=norms,
             converged=converged,
             history=history,
-            polls=polls,
-            polished=polished,
+            times=member_times,
+            stopped_by=stopped_by,
             certificate=accepted,
-            sampled_epsilon=sampled_epsilon,
+            sample=sample,
         )
 
     def _certified_polish(
         self,
         aggregation: ClassAggregation,
         flows: FloatArray,
-        tracer: Tracer | None,
+        tracer: Tracer,
     ) -> tuple[FloatArray, EquilibriumCertificate] | None:
         """The :func:`newton_polish` of ``flows`` and its certificate, if
         that certifies."""
@@ -1193,8 +1157,7 @@ class ClassNashSolver:
             )
         )
         epsilon = float("inf") if certificate is None else certificate.epsilon
-        if tracer is not None:
-            emit_polish(tracer, stats, candidate, epsilon, self.tolerance)
+        emit_polish(tracer, stats, candidate, epsilon, self.tolerance)
         if candidate is None or certificate is None or epsilon > self.tolerance:
             return None
         return candidate, certificate

@@ -131,15 +131,15 @@ class DelayedNashSolver:
 
     def solve(self, game: DelayedGame) -> DelayedNashResult:
         """Sweeps from the proportional profile until the norm of the
-        users' costs (delays included) reaches ``tolerance``."""
+        users' costs (delays included) reaches ``tolerance``, traced on
+        the ambient tracer like every sweep-engine solve."""
         users = ClassAggregation.of_users(game.system)
         run = self._sweeps().run_sweeps(
             users, users.proportional_fractions(), offsets=game.delays
         )
-        profile = StrategyProfile(run.flows / users.demands[:, None])
         return DelayedNashResult(
-            profile=profile,
+            profile=StrategyProfile(run.fractions),
             converged=run.converged,
             iterations=len(run.norms),
-            user_costs=game.user_costs(profile),
+            user_costs=run.times,
         )

@@ -30,9 +30,9 @@ One sweep engine: :class:`NashSolver` is the front end of
 makes every user its own class, in user order, runs the class solver's
 sweep engine (:meth:`~repro.core.classes.ClassNashSolver.run_sweeps` —
 incremental aggregate loads, one fused water-fill per Gauss-Seidel
-reply, one batched call per Jacobi sweep; see docs/PERFORMANCE.md) and
-wraps the outcome in a per-user :class:`NashResult` with per-user
-telemetry.  The original driver is preserved verbatim in
+reply, one batched call per Jacobi sweep; see docs/PERFORMANCE.md),
+which also traces the solve, and wraps the outcome in a per-user
+:class:`NashResult`.  The original driver is preserved verbatim in
 :mod:`repro.core.reference`; parity tests pin the two against each other.
 """
 
@@ -50,9 +50,7 @@ from repro.core.classes import (
     ClassAggregation,
     ClassNashSolver,
     StopRule,
-    SweepHook,
     UpdateOrder,
-    certify_sample,
 )
 from repro.core.equilibrium import EquilibriumCertificate
 from repro.core.model import DistributedSystem
@@ -64,7 +62,7 @@ from repro.core.sampled import (
     sampled_best_reply_batch,
 )
 from repro.core.strategy import StrategyProfile
-from repro.telemetry.trace import Tracer, current_tracer
+from repro.telemetry.trace import Tracer
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -229,89 +227,30 @@ class NashSolver:
         """Run best-reply sweeps from the given initialization.
 
         Every user is its own class, in user order, and the sweeps run on
-        :meth:`~repro.core.classes.ClassNashSolver.run_sweeps`.
-
-        ``tracer`` (default: the ambient tracer, disabled unless installed
-        with :func:`repro.telemetry.use_tracer`) records one
-        ``solver.sweep`` event per sweep — the norm, the per-user regrets
-        ``|D_j^{(l)} - D_j^{(l-1)}|`` and the kernel wall time — plus
-        ``solver.start``/``solver.done`` bracketing events and a
-        ``solver.polish`` event per Newton polish.  With the
-        default no-op sink the instrumentation reduces to one branch per
-        sweep (see docs/OBSERVABILITY.md for the overhead guarantee).
+        :meth:`~repro.core.classes.ClassNashSolver.run_sweeps`, which
+        also traces the solve.  ``tracer`` (default: the ambient tracer,
+        disabled unless installed with :func:`repro.telemetry.use_tracer`)
+        records ``solver.start``, one ``solver.sweep`` event per sweep —
+        the norm, the per-user regrets ``|D_j^{(l)} - D_j^{(l-1)}|`` and
+        the kernel wall time — a ``solver.polish`` event per Newton
+        polish and ``solver.done``.  With the default no-op sink the
+        instrumentation reduces to one branch per sweep (see
+        docs/OBSERVABILITY.md for the overhead guarantee).
         """
         profile = initial_profile(system, init)
-        m, n = system.n_users, system.n_computers
-        phi = system.arrival_rates
-        tracer = tracer if tracer is not None else current_tracer()
-        trace = tracer.enabled
-        on_sweep: SweepHook | None = None
-        if trace:
-            tracer.emit(
-                "solver.start",
-                order=self.order,
-                users=m,
-                computers=n,
-                tolerance=self.tolerance,
-                max_sweeps=self.max_sweeps,
-            )
-
-            def emit_sweep(
-                index: int, norm: float, elapsed: float, regrets: FloatArray
-            ) -> None:
-                tracer.emit(
-                    "solver.sweep",
-                    index=index,
-                    sweep=index + 1,
-                    norm=norm,
-                    elapsed_s=elapsed,
-                    regrets=regrets,
-                )
-                tracer.count("solver.sweeps")
-                tracer.count("solver.best_replies", m)
-                tracer.observe("solver.sweep_seconds", elapsed)
-
-            on_sweep = emit_sweep
-
-        users = ClassAggregation.of_users(system)
         run = self._engine().run_sweeps(
-            users, profile.fractions, on_sweep, tracer=tracer
+            ClassAggregation.of_users(system), profile.fractions, tracer=tracer
         )
-        converged = run.converged
-        final = StrategyProfile(run.flows / phi[:, None])
-        # Singleton classes: the class certificate is the per-user one.
-        certificate = run.certificate
-        if certificate is not None:
-            user_times = certificate.user_times
-        else:
-            try:
-                user_times = system.user_response_times(final.fractions)
-            except ValueError:
-                # Only reachable with the simultaneous (Jacobi) order,
-                # which can overshoot into an unstable joint profile
-                # mid-oscillation.
-                user_times = np.full(m, np.inf)
-                converged = False
-        sample: SampleCertificate | None = None
-        if self.sample_k is not None:
-            sample = certify_sample(run, self.sample_k, users, tracer)
-        if trace:
-            tracer.emit(
-                "solver.done",
-                converged=converged,
-                iterations=len(run.norms),
-                final_norm=run.final_norm,
-                stopped_by=run.stopped_by(self.tolerance),
-            )
+        # Singleton classes: the class times and certificate are per user.
         return NashResult(
-            profile=final,
-            converged=converged,
+            profile=StrategyProfile(run.fractions),
+            converged=run.converged,
             iterations=len(run.norms),
             norm_history=np.asarray(run.norms, dtype=float),
-            user_times=user_times,
+            user_times=run.times,
             profile_history=tuple(StrategyProfile(f) for f in run.history),
-            sample=sample,
-            certificate=certificate,
+            sample=run.sample,
+            certificate=run.certificate,
         )
 
 

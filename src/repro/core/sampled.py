@@ -59,6 +59,7 @@ __all__ = [
     "check_seed",
     "reply_set",
     "sample_indices",
+    "sampled_reply_set",
     "sampled_best_reply",
     "sampled_best_reply_batch",
     "widen_reply_set",
@@ -157,6 +158,35 @@ def widen_reply_set(
         size *= 2
 
 
+def sampled_reply_set(
+    available: FloatArray,
+    own_flows: FloatArray,
+    demand: float,
+    *,
+    seed: int,
+    sweep: int,
+    index: int,
+    k: int,
+) -> tuple[IndexArray, int]:
+    """The reply set of one sampled reply and the polls it costs.
+
+    Draws player ``index``'s ``k`` probes (:func:`sample_indices`), joins
+    its free support (:func:`reply_set`) and widens the union when it
+    cannot carry ``demand`` (:func:`widen_reply_set`): the one rule every
+    sampled reply, per user, batched or per class, follows.
+    """
+    indices = sample_indices(seed, sweep, index, available.shape[0], k)
+    chosen, extra = widen_reply_set(
+        reply_set(own_flows, indices),
+        available,
+        demand,
+        seed=seed,
+        sweep=sweep,
+        index=index,
+    )
+    return chosen, int(indices.size) + extra
+
+
 @dataclass(frozen=True)
 class SampledReply:
     """One sampled best reply.
@@ -201,17 +231,12 @@ def sampled_best_reply(
     restricted rate vector, so with ``k >= n`` this *is* the exact best
     response.
     """
-    n = available.shape[0]
-    indices = sample_indices(seed, sweep, index, n, k)
-    chosen = reply_set(own_flows, indices)
-    polls = int(indices.size)
-    chosen, extra = widen_reply_set(
-        chosen, available, job_rate, seed=seed, sweep=sweep, index=index
+    chosen, polls = sampled_reply_set(
+        available, own_flows, job_rate, seed=seed, sweep=sweep, index=index, k=k
     )
-    polls += extra
     chosen_flows = np.empty(chosen.size)
     d, _, _ = sqrt_waterfill_inplace(available[chosen], job_rate, chosen_flows)
-    flows = np.zeros(n)
+    flows = np.zeros(available.shape[0])
     flows[chosen] = chosen_flows
     return SampledReply(
         flows=flows,
@@ -254,18 +279,14 @@ def sampled_best_reply_batch(
     vectorized kernel call after an O(m·k) masking pass.
     """
     rates = np.asarray(job_rates, dtype=float)
-    m, n = available.shape
     masked = np.zeros_like(available)
     polls = 0
-    for j in range(m):
-        indices = sample_indices(seed, sweep, j, n, k)
-        chosen = reply_set(own_flows[j], indices)
-        polls += int(indices.size)
-        chosen, extra = widen_reply_set(
-            chosen, available[j], float(rates[j]),
-            seed=seed, sweep=sweep, index=j,
+    for j in range(available.shape[0]):
+        chosen, p = sampled_reply_set(
+            available[j], own_flows[j], float(rates[j]),
+            seed=seed, sweep=sweep, index=j, k=k,
         )
-        polls += extra
+        polls += p
         masked[j, chosen] = available[j, chosen]
     replies = optimal_fractions_batch(masked, rates)
     flows = np.asarray(replies.fractions, dtype=float) * rates[:, None]

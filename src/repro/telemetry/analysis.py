@@ -17,7 +17,6 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.telemetry.events import TraceEvent
 
 __all__ = [
-    "class_summary",
     "engine_summary",
     "event_counts",
     "metrics_snapshot",
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 #: Event names carrying one completed sweep's convergence norm.
-_SWEEP_EVENTS = ("solver.sweep", "protocol.sweep", "solver.class_sweep")
+_SWEEP_EVENTS = ("solver.sweep", "protocol.sweep")
 
 
 def event_counts(events: Iterable[TraceEvent]) -> dict[str, int]:
@@ -139,15 +138,27 @@ def protocol_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
 
 
 def solver_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
-    """Convergence/timing view of the sequential solver's sweeps."""
+    """Convergence/timing view of the sequential solves' sweeps.
+
+    Every per-user, class-space and delayed solve emits the same
+    ``solver.*`` events; ``norm_history`` and ``total_elapsed_s`` run
+    over all their sweeps, the shape fields (``classes``, ``users``,
+    ``computers``, ``compression``) come from the last ``solver.start``
+    and ``outcome`` is the last ``solver.done``.
+    """
+    start: dict[str, Any] = {}
     sweeps: list[dict[str, Any]] = []
     done: dict[str, Any] | None = None
+    n_solves = 0
     sample: dict[str, Any] | None = None
     for event in events:
-        if event.name == "solver.sweep":
+        if event.name == "solver.start":
+            start = dict(event.fields)
+        elif event.name == "solver.sweep":
             sweeps.append(dict(event.fields))
         elif event.name == "solver.done":
             done = dict(event.fields)
+            n_solves += 1
         elif event.name == "solver.sample":
             sample = dict(event.fields)
     return {
@@ -156,6 +167,11 @@ def solver_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
         "total_elapsed_s": float(
             sum(float(s.get("elapsed_s", 0.0)) for s in sweeps)
         ),
+        "n_solves": n_solves,
+        "classes": int(start.get("classes", 0)),
+        "users": int(start.get("users", 0)),
+        "computers": int(start.get("computers", 0)),
+        "compression": float(start.get("compression", 0.0)),
         "sample": sample,
         "outcome": done,
     }
@@ -241,41 +257,6 @@ def pool_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
         "bytes_saved": sum(int(c.get("bytes_saved", 0)) for c in closes),
         "cache_hits": sum(int(c.get("cache_hits", 0)) for c in closes),
         "fallbacks": sum(int(c.get("fallbacks", 0)) for c in closes),
-    }
-
-
-def class_summary(events: Sequence[TraceEvent]) -> dict[str, Any]:
-    """Class-space solver view.
-
-    Rolls up the ``solver.class_*`` events a
-    :class:`~repro.core.classes.ClassNashSolver` run emits (start /
-    per-sweep norms / done) into one overview: aggregation shape
-    (classes, users, compression) and the user-weighted norm history
-    (reconstructible exactly — the same float round-trip guarantee the
-    per-user solver enjoys).
-    """
-    starts: list[dict[str, Any]] = []
-    sweeps: list[dict[str, Any]] = []
-    dones: list[dict[str, Any]] = []
-    for event in events:
-        if event.name == "solver.class_start":
-            starts.append(dict(event.fields))
-        elif event.name == "solver.class_sweep":
-            sweeps.append(dict(event.fields))
-        elif event.name == "solver.class_done":
-            dones.append(dict(event.fields))
-    last_start = starts[-1] if starts else {}
-    return {
-        "solves": dones,
-        "n_solves": len(dones),
-        "classes": int(last_start.get("classes", 0)),
-        "users": int(last_start.get("users", 0)),
-        "compression": float(last_start.get("compression", 0.0)),
-        "norm_history": [float(s["norm"]) for s in sweeps],
-        "total_sweeps": len(sweeps),
-        "total_elapsed_s": float(
-            sum(float(s.get("elapsed_s", 0.0)) for s in sweeps)
-        ),
     }
 
 

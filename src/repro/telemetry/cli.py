@@ -18,7 +18,6 @@ import sys
 from typing import Any, Sequence
 
 from repro.telemetry.analysis import (
-    class_summary,
     engine_summary,
     pool_summary,
     protocol_summary,
@@ -83,9 +82,12 @@ def _render_summary(events: list[TraceEvent]) -> tuple[dict[str, Any], str]:
         lines.append(f"  {name:<24} {count}")
     if solver["sweeps"]:
         lines.append(
-            f"solver: {len(solver['sweeps'])} sweeps, "
+            f"solver: {solver['n_solves']} solves, "
+            f"{len(solver['sweeps'])} sweeps, "
             f"final norm {solver['norm_history'][-1]:.3g}, "
-            f"{solver['total_elapsed_s']:.4f}s in best replies"
+            f"{solver['total_elapsed_s']:.4f}s in best replies; last "
+            f"{solver['classes']} classes / {solver['users']} users "
+            f"({solver['compression']:.0f}x)"
         )
     if solver["sample"] is not None:
         sample = solver["sample"]
@@ -121,21 +123,6 @@ def _render_summary(events: list[TraceEvent]) -> tuple[dict[str, Any], str]:
         lines.append(
             f"sweeps: {sweeps['n_points']} point solves ({mode}): {per_scheme}"
         )
-    classes = class_summary(events)
-    if classes["n_solves"]:
-        shape = (
-            f"{classes['classes']} classes / {classes['users']} users "
-            f"({classes['compression']:.0f}x)"
-        )
-        final = (
-            f"final norm {classes['norm_history'][-1]:.3g}, "
-            if classes["norm_history"]
-            else ""
-        )
-        lines.append(
-            f"class-space: {classes['n_solves']} solves, "
-            f"{classes['total_sweeps']} sweeps, {final}{shape}"
-        )
     pool = pool_summary(events)
     if pool["n_blocks"] or pool["n_planes"]:
         lines.append(
@@ -169,7 +156,7 @@ def _render_convergence(
     # view is of the last solve, and so is its stop reason.
     stopped_by = None
     for event in events:
-        if event.name in ("solver.done", "solver.class_done"):
+        if event.name == "solver.done":
             stopped_by = event.fields.get("stopped_by")
     payload = {
         "iterations": len(norms),

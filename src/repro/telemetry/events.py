@@ -51,16 +51,13 @@ DECLARED_EVENTS: dict[str, str] = {
     # sampled (power-of-k) protocol: per-circulation poll accounting
     "protocol.sample": "protocol",
     "protocol.done": "protocol",
-    # NashSolver.solve instrumentation
+    # the sweep engine (ClassNashSolver.run_sweeps): every per-user,
+    # class-space and delayed solve
     "solver.start": "summary",
     "solver.sweep": "convergence",
     "solver.done": "summary",
     # sampled (power-of-k) solve certificate: k, polls, true epsilon
     "solver.sample": "summary",
-    # ClassNashSolver (class-space) instrumentation
-    "solver.class_start": "summary",
-    "solver.class_sweep": "convergence",
-    "solver.class_done": "summary",
     # Newton polish before a certificate (engine epochs, class solves)
     "solver.polish": "engine",
     # simulation engine

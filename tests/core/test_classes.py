@@ -364,7 +364,7 @@ class TestNewtonStop:
             aggregation, result.class_fractions
         )
         assert certificate.epsilon <= solver.tolerance
-        (done,) = [e for e in sink.events if e.name == "solver.class_done"]
+        (done,) = [e for e in sink.events if e.name == "solver.done"]
         assert done.fields["stopped_by"] == "newton"
         polishes = [e for e in sink.events if e.name == "solver.polish"]
         assert polishes[-1].fields["outcome"] == "certified"
@@ -463,8 +463,11 @@ class TestCertificateStop:
             run = ClassNashSolver(sample_k=2).run_sweeps(
                 fat, fat.proportional_fractions()
             )
-            assert run.sampled_epsilon is not None
-            assert calls == []
+            assert run.sample.sampled_epsilon is not None
+            # The one certificate is the sample certificate's true
+            # epsilon, taken once the sweeps have stopped.
+            assert len(calls) == 1
+            np.testing.assert_array_equal(calls[0], run.fractions)
             return
 
         distinct = random_system(np.random.default_rng(3), n_computers=5, n_users=9)
@@ -519,8 +522,8 @@ class TestSampledStop:
         sample = result.sample
         assert sample.epsilon == certificate.epsilon
         assert sample.sampled_epsilon <= solver.tolerance
-        (done,) = [e for e in sink.events if e.name == "solver.class_done"]
-        assert done.fields["stopped_by"] == "certificate"
+        (done,) = [e for e in sink.events if e.name == "solver.done"]
+        assert done.fields["stopped_by"] == "observed"
         (event,) = [e for e in sink.events if e.name == "solver.sample"]
         assert event.fields["sampled_epsilon"] == sample.sampled_epsilon
 
@@ -625,8 +628,8 @@ class TestTracing:
         events = read_trace(path)
         assert reconstruct_norm_history(events) == list(result.norm_history)
         names = [event.name for event in events]
-        assert names.count("solver.class_start") == 1
-        assert names.count("solver.class_done") == 1
+        assert names.count("solver.start") == 1
+        assert names.count("solver.done") == 1
 
     @pytest.mark.parametrize(
         ("case", "stop", "stopped_by"),
@@ -655,12 +658,12 @@ class TestTracing:
         result = ClassNashSolver(max_sweeps=max_sweeps, stop=stop).solve(
             aggregate_users(system), tracer=Tracer(sink)
         )
-        (done,) = [e for e in sink.events if e.name == "solver.class_done"]
+        (done,) = [e for e in sink.events if e.name == "solver.done"]
         assert done.fields["stopped_by"] == stopped_by
         assert done.fields["converged"] == result.converged
 
-    def test_class_summary_rollup(self, tmp_path):
-        from repro.telemetry.analysis import class_summary
+    def test_solver_summary_of_a_class_solve(self, tmp_path):
+        from repro.telemetry.analysis import solver_summary
         from repro.telemetry.sinks import JsonlSink, read_trace
         from repro.telemetry.trace import Tracer
 
@@ -669,9 +672,12 @@ class TestTracing:
         agg = aggregate_users(paper_table1_system(n_users=10))
         result = ClassNashSolver().solve(agg, "zero", tracer=tracer)
         tracer.close()
-        summary = class_summary(read_trace(path))
+        summary = solver_summary(read_trace(path))
         assert summary["n_solves"] == 1
         assert summary["classes"] == 1
         assert summary["users"] == 10
-        assert summary["total_sweeps"] == result.iterations
+        assert summary["computers"] == agg.n_computers
+        assert summary["compression"] == 10.0
+        assert len(summary["sweeps"]) == result.iterations
         assert summary["norm_history"] == list(result.norm_history)
+        assert summary["outcome"]["converged"] is result.converged

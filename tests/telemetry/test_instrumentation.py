@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.classes import ClassAggregation, ClassNashSolver, aggregate_users
+from repro.core.comm_delay import DelayedGame, DelayedNashSolver
 from repro.core.nash import NashSolver, compute_nash_equilibrium
 from repro.distributed.chaos import (
     FaultEvent,
@@ -105,6 +107,98 @@ class TestSolverInstrumentation:
         assert summary["norm_history"] == list(result.norm_history)
         assert summary["outcome"]["converged"] is result.converged
         assert summary["total_elapsed_s"] >= 0.0
+
+
+#: The fields a per-user solve's events have always carried; the class
+#: fields of ``solver.start`` come on top.
+PER_USER_FIELDS = {
+    "solver.start": {"order", "users", "computers", "tolerance", "max_sweeps"},
+    "solver.sweep": {"index", "sweep", "norm", "elapsed_s", "regrets"},
+    "solver.polish": {"steps", "adds", "drops", "outcome", "epsilon"},
+    "solver.sample": {
+        "k", "computers", "sweeps", "polls", "sampled_norm", "epsilon",
+        "sampled_epsilon",
+    },
+    "solver.done": {"converged", "iterations", "final_norm", "stopped_by"},
+}
+
+
+class TestSolverTraceParity:
+    """Per-user, class-space and delayed solves share one trace vocabulary."""
+
+    @pytest.mark.parametrize(
+        ("config", "tail"),
+        [
+            ({}, ["solver.polish"]),
+            ({"sample_k": 3}, ["solver.sample"]),
+            ({"stop": "norm"}, []),
+        ],
+        ids=["newton", "sampled", "norm"],
+    )
+    def test_per_user_trace_keeps_its_events_order_and_fields(
+        self, system, config, tail
+    ):
+        sink = InMemorySink()
+        result = NashSolver(**config).solve(system, tracer=Tracer(sink))
+        names = [event.name for event in sink.events]
+        assert names == (
+            ["solver.start"]
+            + ["solver.sweep"] * result.iterations
+            + tail
+            + ["solver.done"]
+        )
+        for event in sink.events:
+            assert PER_USER_FIELDS[event.name] <= set(event.fields)
+        start = sink.events[0].fields
+        assert (start["users"], start["computers"]) == (
+            system.n_users, system.n_computers
+        )
+        assert (start["classes"], start["compression"]) == (system.n_users, 1.0)
+        assert start["grouping_tol"] == 0.0
+
+    @pytest.mark.parametrize("stop", ["certificate", "norm"])
+    def test_singleton_class_solve_emits_the_per_user_sweeps(self, system, stop):
+        def sweeps(solve):
+            sink = InMemorySink()
+            solve(Tracer(sink))
+            return [
+                (event.fields["norm"], list(event.fields["regrets"]))
+                for event in sink.events
+                if event.name == "solver.sweep"
+            ]
+
+        per_user = sweeps(
+            lambda tracer: NashSolver(tolerance=1e-8, stop=stop).solve(
+                system, tracer=tracer
+            )
+        )
+        singletons = sweeps(
+            lambda tracer: ClassNashSolver(tolerance=1e-8, stop=stop).solve(
+                ClassAggregation.of_users(system), tracer=tracer
+            )
+        )
+        assert per_user and singletons == per_user
+
+    def test_class_solve_counts_one_reply_per_class(self):
+        tracer = Tracer(InMemorySink())
+        aggregation = aggregate_users(paper_table1_system(n_users=10))
+        result = ClassNashSolver(stop="norm").solve(aggregation, tracer=tracer)
+        counters = tracer.registry.snapshot()["counters"]
+        assert counters["solver.sweeps"] == result.iterations
+        assert counters["solver.best_replies"] == result.iterations  # c = 1
+
+    def test_delayed_solve_is_traced(self, system):
+        distance = system.service_rates / system.service_rates.min() - 1.0
+        game = DelayedGame(system, 0.05 * distance)
+        sink = InMemorySink()
+        with use_tracer(Tracer(sink)):
+            result = DelayedNashSolver(tolerance=1e-8).solve(game)
+        sweeps = [e for e in sink.events if e.name == "solver.sweep"]
+        assert len(sweeps) == result.iterations > 1
+        (done,) = [e for e in sink.events if e.name == "solver.done"]
+        assert done.fields["iterations"] == result.iterations
+        assert done.fields["converged"] is result.converged
+        assert done.fields["stopped_by"] == "norm"
 
 
 class TestProtocolTraceReconstruction:

@@ -77,7 +77,7 @@ class TestConvergence:
 
     @pytest.mark.parametrize(
         ("case", "stopped_by"),
-        [("certificate", "newton"), ("norm", "norm"), ("sampled", "certificate")],
+        [("certificate", "newton"), ("norm", "norm"), ("sampled", "observed")],
     )
     def test_reports_why_the_solve_stopped(
         self, tmp_path, capsys, case, stopped_by
